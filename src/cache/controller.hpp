@@ -47,7 +47,9 @@ enum class AccessResult {
 /// `ccnoc::snoop` implement the same contract).
 class CacheIface {
  public:
-  /// Completion callback: receives the load value (0 for stores).
+  /// Completion callback: receives the load value (0 for stores). Taken by
+  /// reference: a controller copies it only when the access goes pending,
+  /// so a hit builds no std::function.
   using CompleteFn = std::function<void(std::uint64_t)>;
 
   virtual ~CacheIface() = default;
@@ -55,10 +57,10 @@ class CacheIface {
   /// Issue a processor access. The caller must not issue another access for
   /// this cache until a kHit return or the completion callback.
   virtual AccessResult access(const MemAccess& a, std::uint64_t* hit_value,
-                              CompleteFn on_complete) = 0;
+                              const CompleteFn& on_complete) = 0;
 
   /// Context-switch memory barrier (see CacheController::drain).
-  virtual AccessResult drain(CompleteFn on_drained) {
+  virtual AccessResult drain(const CompleteFn& on_drained) {
     (void)on_drained;
     return AccessResult::kHit;
   }

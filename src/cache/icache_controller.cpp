@@ -8,7 +8,7 @@ using noc::Message;
 using noc::MsgType;
 
 AccessResult ICacheController::access(const MemAccess& a, std::uint64_t* hit_value,
-                                      CompleteFn on_complete) {
+                                      const CompleteFn& on_complete) {
   CCNOC_ASSERT(!a.is_store, "store issued to the instruction cache");
   CCNOC_ASSERT(!pending_, "I-cache already has a pending fetch");
   const sim::Addr block = tags_.block_of(a.addr);
@@ -24,7 +24,7 @@ AccessResult ICacheController::access(const MemAccess& a, std::uint64_t* hit_val
   pf_->access(sim_.now(), node_, a.addr, a.size, sim::AccessClass::kIfetch);
   pending_ = true;
   pending_access_ = a;
-  pending_cb_ = std::move(on_complete);
+  pending_cb_ = on_complete;
   pending_txn_ = next_txn();
   tr_->txn_begin(sim_.now(), pending_txn_, "ifetch_miss", node_, track_tid(), block);
   lat_->txn_begin(sim_.now(), pending_txn_, "ifetch_miss", node_);

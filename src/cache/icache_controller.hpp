@@ -23,7 +23,7 @@ class ICacheController final : public CacheController {
         hops_fetch_miss_(stat_histogram("hops.fetch_miss", 16)) {}
 
   AccessResult access(const MemAccess& a, std::uint64_t* hit_value,
-                      CompleteFn on_complete) override;
+                      const CompleteFn& on_complete) override;
   void on_packet(const noc::Packet& pkt) override;
 
   [[nodiscard]] bool idle() const override { return !pending_; }

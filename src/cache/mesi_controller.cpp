@@ -42,7 +42,7 @@ MesiController::MesiController(sim::Simulator& sim, noc::Network& net,
 }
 
 AccessResult MesiController::access(const MemAccess& a, std::uint64_t* hit_value,
-                                    CompleteFn on_complete) {
+                                    const CompleteFn& on_complete) {
   CCNOC_ASSERT(pending_ == Pending::kNone, "MESI controller already has a pending access");
   const sim::Addr block = tags_.block_of(a.addr);
   CacheLine* l = tags_.find(block);
@@ -59,7 +59,7 @@ AccessResult MesiController::access(const MemAccess& a, std::uint64_t* hit_value
       return AccessResult::kHit;
     }
     st_.load_misses->inc();
-    start_miss(a, std::move(on_complete));
+    start_miss(a, on_complete);
     return AccessResult::kPending;
   }
 
@@ -84,7 +84,7 @@ AccessResult MesiController::access(const MemAccess& a, std::uint64_t* hit_value
     st_.store_hits_s->inc();
     pending_ = Pending::kResponse;
     pending_access_ = a;
-    pending_cb_ = std::move(on_complete);
+    pending_cb_ = on_complete;
     pending_line_ = l;
     pending_is_upgrade_ = true;
     pending_txn_ = next_txn();
@@ -104,13 +104,13 @@ AccessResult MesiController::access(const MemAccess& a, std::uint64_t* hit_value
   // Store miss: write-allocate with ReadExclusive (up to the paper's
   // Figure 2 six-hop sequence).
   st_.store_misses->inc();
-  start_miss(a, std::move(on_complete));
+  start_miss(a, on_complete);
   return AccessResult::kPending;
 }
 
-void MesiController::start_miss(const MemAccess& a, CompleteFn cb) {
+void MesiController::start_miss(const MemAccess& a, const CompleteFn& cb) {
   pending_access_ = a;
-  pending_cb_ = std::move(cb);
+  pending_cb_ = cb;
   pending_is_upgrade_ = false;
 
   const sim::Addr block = tags_.block_of(a.addr);

@@ -21,7 +21,7 @@ class MesiController final : public CacheController {
                  sim::NodeId node, std::uint8_t port, CacheConfig cfg, std::string name);
 
   AccessResult access(const MemAccess& a, std::uint64_t* hit_value,
-                      CompleteFn on_complete) override;
+                      const CompleteFn& on_complete) override;
   void on_packet(const noc::Packet& pkt) override;
 
   [[nodiscard]] bool idle() const override {
@@ -55,7 +55,7 @@ class MesiController final : public CacheController {
     std::array<std::uint8_t, noc::kMaxBlockBytes> data{};
   };
 
-  void start_miss(const MemAccess& a, CompleteFn cb);
+  void start_miss(const MemAccess& a, const CompleteFn& cb);
   void launch_miss();
   void do_writeback(CacheLine& victim);
 

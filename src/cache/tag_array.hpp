@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <vector>
 
 #include "cache/config.hpp"
@@ -31,8 +32,15 @@ struct CacheLine {
 
 class TagArray {
  public:
-  explicit TagArray(const CacheConfig& cfg) : cfg_(cfg), lines_(cfg.num_lines()) {
+  explicit TagArray(const CacheConfig& cfg)
+      : cfg_(cfg),
+        lines_(cfg.num_lines()),
+        block_shift_(unsigned(std::countr_zero(cfg.block_bytes))),
+        num_sets_(cfg.num_sets()),
+        set_mask_(num_sets_ - 1),
+        pow2_sets_((num_sets_ & set_mask_) == 0) {
     CCNOC_ASSERT(cfg.num_lines() % cfg.ways == 0, "lines not divisible by ways");
+    CCNOC_ASSERT(num_sets_ >= 1, "cache smaller than one set");
     CCNOC_ASSERT((cfg.block_bytes & (cfg.block_bytes - 1)) == 0, "block size not pow2");
     CCNOC_ASSERT(cfg.block_bytes <= noc::kMaxBlockBytes, "block too large");
   }
@@ -83,13 +91,21 @@ class TagArray {
   }
 
  private:
+  // The per-access set index is a shift and a mask; only a set count that
+  // is not a power of two (a geometry ablation, never the paper's caches)
+  // pays for the modulo.
   [[nodiscard]] std::pair<std::size_t, unsigned> set_range(sim::Addr block) const {
-    std::size_t set = std::size_t(block / cfg_.block_bytes) % cfg_.num_sets();
+    const sim::Addr index = block >> block_shift_;
+    const std::size_t set = std::size_t(pow2_sets_ ? index & set_mask_ : index % num_sets_);
     return {set * cfg_.ways, cfg_.ways};
   }
 
   CacheConfig cfg_;
   std::vector<CacheLine> lines_;
+  unsigned block_shift_;
+  std::size_t num_sets_;
+  sim::Addr set_mask_;  ///< num_sets_ - 1; the set index when pow2_sets_
+  bool pow2_sets_;
   std::uint64_t lru_clock_ = 0;
 };
 

@@ -39,7 +39,7 @@ WtiController::WtiController(sim::Simulator& sim, noc::Network& net,
 }
 
 AccessResult WtiController::access(const MemAccess& a, std::uint64_t* hit_value,
-                                   CompleteFn on_complete) {
+                                   const CompleteFn& on_complete) {
   CCNOC_ASSERT(pending_ == Pending::kNone, "WTI controller already has a pending access");
   const sim::Addr block = tags_.block_of(a.addr);
   pf_->access(sim_.now(), node_, a.addr, a.size,
@@ -57,7 +57,7 @@ AccessResult WtiController::access(const MemAccess& a, std::uint64_t* hit_value,
     st_.load_misses->inc();
     pf_->miss(sim_.now(), node_, block);
     pending_access_ = a;
-    pending_cb_ = std::move(on_complete);
+    pending_cb_ = on_complete;
     pending_txn_ = next_txn();
     tr_->txn_begin(sim_.now(), pending_txn_, "wti.load_miss", node_, track_tid(),
                    block);
@@ -84,7 +84,7 @@ AccessResult WtiController::access(const MemAccess& a, std::uint64_t* hit_value,
     st_.atomic_swaps->inc();
     if (CacheLine* l = tags_.find(block)) fsm(*l, CacheEvent::kAtomicIssue);
     pending_access_ = a;
-    pending_cb_ = std::move(on_complete);
+    pending_cb_ = on_complete;
     pending_txn_ = next_txn();
     tr_->txn_begin(sim_.now(), pending_txn_, "wti.atomic", node_, track_tid(), block);
     lat_->txn_begin(sim_.now(), pending_txn_, "wti.atomic", node_);
@@ -107,7 +107,7 @@ AccessResult WtiController::access(const MemAccess& a, std::uint64_t* hit_value,
                  track_tid(), "addr", a.addr);
     pending_ = Pending::kStoreBuffer;
     pending_access_ = a;
-    pending_cb_ = std::move(on_complete);
+    pending_cb_ = on_complete;
     return AccessResult::kPending;
   }
   perform_store(a);
@@ -298,12 +298,12 @@ void WtiController::maybe_finish_direct_write() {
   }
 }
 
-AccessResult WtiController::drain(CompleteFn on_drained) {
+AccessResult WtiController::drain(const CompleteFn& on_drained) {
   CCNOC_ASSERT(pending_ == Pending::kNone, "drain during a pending access");
   if (wbuf_.empty()) return AccessResult::kHit;
   st_.explicit_drains->inc();
   pending_ = Pending::kDrainWait;
-  pending_cb_ = std::move(on_drained);
+  pending_cb_ = on_drained;
   return AccessResult::kPending;
 }
 

@@ -21,9 +21,9 @@ class WtiController final : public CacheController {
                 sim::NodeId node, std::uint8_t port, CacheConfig cfg, std::string name);
 
   AccessResult access(const MemAccess& a, std::uint64_t* hit_value,
-                      CompleteFn on_complete) override;
+                      const CompleteFn& on_complete) override;
   void on_packet(const noc::Packet& pkt) override;
-  AccessResult drain(CompleteFn on_drained) override;
+  AccessResult drain(const CompleteFn& on_drained) override;
 
   [[nodiscard]] bool idle() const override {
     return pending_ == Pending::kNone && wbuf_.empty() && !drain_in_flight_;

@@ -9,6 +9,9 @@ Processor::Processor(sim::Simulator& sim, cache::CacheIface& dcache,
     : sim_(sim),
       dcache_(dcache),
       icache_(icache),
+      ifetch_done_([this](std::uint64_t) { resume_after_ifetch(); }),
+      data_done_([this](std::uint64_t value) { resume_after_data(value); }),
+      drain_done_([this](std::uint64_t) { switch_after_drain(); }),
       cpu_(cpu_index),
       cfg_(cfg),
       name_("cpu" + std::to_string(cpu_index)),
@@ -92,11 +95,7 @@ bool Processor::fetch_next_op() {
             // Context-switch memory barrier: the departing thread's
             // buffered stores must be globally visible before it can
             // resume (with program order intact) on another processor.
-            auto res = dcache_.drain([this](std::uint64_t) {
-              sched_->deschedule(cpu_, *thread_);
-              thread_ = sched_->next_thread(cpu_);
-              if (thread_ != nullptr) schedule_step(1);
-            });
+            auto res = dcache_.drain(drain_done_);
             if (res == cache::AccessResult::kPending) return false;
             sched_->deschedule(cpu_, *thread_);
             thread_ = sched_->next_thread(cpu_);
@@ -176,24 +175,29 @@ void Processor::continue_ifetch() {
     a.size = sim::kWordBytes;
     std::uint64_t dummy = 0;
     wait_started_ = sim_.now();
-    auto res = icache_.access(a, &dummy, [this, blk](std::uint64_t) {
-      const sim::Cycle delta = sim_.now() - wait_started_;
-      i_stall_ += delta;
-      pf_->stall(sim_.now(), cpu_, blk, delta, sim::AccessClass::kIfetch);
-      if (tr_->on()) record_stall(sim::StallCat::kIfetch);
-      CCNOC_ASSERT(!ifetch_pending_.empty(), "ifetch completion with empty queue");
-      ifetch_pending_.pop_back();
-      last_active_ = sim_.now();
-      if (!ifetch_pending_.empty()) {
-        continue_ifetch();
-      } else {
-        execute_data();
-      }
-    });
+    auto res = icache_.access(a, &dummy, ifetch_done_);
     if (res == cache::AccessResult::kPending) return;
     ifetch_pending_.pop_back();
   }
   execute_data();
+}
+
+void Processor::resume_after_ifetch() {
+  // The missing block is still at the back of the queue: it is popped here,
+  // once its fill has arrived.
+  CCNOC_ASSERT(!ifetch_pending_.empty(), "ifetch completion with empty queue");
+  const sim::Addr blk = ifetch_pending_.back();
+  const sim::Cycle delta = sim_.now() - wait_started_;
+  i_stall_ += delta;
+  pf_->stall(sim_.now(), cpu_, blk, delta, sim::AccessClass::kIfetch);
+  if (tr_->on()) record_stall(sim::StallCat::kIfetch);
+  ifetch_pending_.pop_back();
+  last_active_ = sim_.now();
+  if (!ifetch_pending_.empty()) {
+    continue_ifetch();
+  } else {
+    execute_data();
+  }
 }
 
 void Processor::execute_data() {
@@ -220,8 +224,7 @@ void Processor::execute_data() {
       }
       std::uint64_t v = 0;
       wait_started_ = sim_.now();
-      auto res = dcache_.access(
-          a, &v, [this](std::uint64_t val) { resume_after_data(val); });
+      auto res = dcache_.access(a, &v, data_done_);
       if (res == cache::AccessResult::kHit) {
         if (cur_op_.kind != OpKind::kStore) thread_->last_load_value = v;
         if (probe_ != nullptr) [[unlikely]] probe_commit(v);
@@ -262,6 +265,12 @@ void Processor::resume_after_data(std::uint64_t value) {
   if (cur_op_.kind != OpKind::kStore) thread_->last_load_value = value;
   if (probe_ != nullptr) [[unlikely]] probe_commit(value);
   finish_op(std::max<sim::Cycle>(cur_op_.icount, cfg_.min_op_cycles));
+}
+
+void Processor::switch_after_drain() {
+  sched_->deschedule(cpu_, *thread_);
+  thread_ = sched_->next_thread(cpu_);
+  if (thread_ != nullptr) schedule_step(1);
 }
 
 void Processor::probe_commit(std::uint64_t value) {

@@ -73,8 +73,10 @@ class Processor {
   bool fetch_next_op();
   void prepare_ifetch();
   void continue_ifetch();
+  void resume_after_ifetch();
   void execute_data();
   void resume_after_data(std::uint64_t value);
+  void switch_after_drain();
   void finish_op(sim::Cycle cost);
   void export_stats();
   void record_stall(sim::StallCat cat);
@@ -84,6 +86,11 @@ class Processor {
   sim::Simulator& sim_;
   cache::CacheIface& dcache_;
   cache::CacheIface& icache_;
+  // The three completions, built once: every access passes one by
+  // reference, and a cache copies it only when the access goes pending.
+  const cache::CacheIface::CompleteFn ifetch_done_;
+  const cache::CacheIface::CompleteFn data_done_;
+  const cache::CacheIface::CompleteFn drain_done_;
   unsigned cpu_;
   CpuConfig cfg_;
   std::string name_;

@@ -6,7 +6,16 @@ namespace ccnoc::sim {
 
 void EventQueue::push(Cycle when, std::uint64_t order, Callback cb) {
   CCNOC_ASSERT(when >= now_, "event scheduled in the past");
-  heap_.push_back(Event{when, order, std::move(cb)});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = std::uint32_t(slots_.size());
+    slots_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(cb);
+  }
+  heap_.push_back(Event{when, order, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -21,14 +30,17 @@ void EventQueue::schedule_keyed(Cycle when, std::uint64_t key, Callback cb) {
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
-  // pop_heap moves the earliest event to the back, where it can be moved
-  // out safely before shrinking the vector.
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
+  const Event ev = heap_.back();
   heap_.pop_back();
+  // Move the callback out and free its slot before running it: the callback
+  // may schedule events, which can reuse the slot or reallocate slots_.
+  Callback cb = std::move(slots_[ev.slot]);
+  slots_[ev.slot] = nullptr;
+  free_slots_.push_back(ev.slot);
   now_ = ev.when;
   ++executed_;
-  ev.cb();
+  cb();
   return true;
 }
 

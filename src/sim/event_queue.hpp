@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -73,11 +74,14 @@ class EventQueue {
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
  private:
+  // Heap records are trivially copyable: sift steps move 24 bytes, never a
+  // callable. Each callback waits in slots_[slot] until its event runs.
   struct Event {
     Cycle when;
     std::uint64_t order;
-    Callback cb;
+    std::uint32_t slot;
   };
+  static_assert(std::is_trivially_copyable_v<Event>);
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.when != b.when) return a.when > b.when;
@@ -87,11 +91,11 @@ class EventQueue {
 
   void push(Cycle when, std::uint64_t order, Callback cb);
 
-  // An explicit binary heap (std::push_heap/std::pop_heap over a vector)
-  // rather than std::priority_queue: pop_heap moves the minimum to the back
-  // of the vector, where the callback can be moved out without the
-  // const_cast that priority_queue::top() would force.
+  // An explicit binary heap (std::push_heap/std::pop_heap over a vector):
+  // pop_heap moves the earliest record to the back, where it is popped.
   std::vector<Event> heap_;
+  std::vector<Callback> slots_;
+  std::vector<std::uint32_t> free_slots_;  ///< indices of empty slots_ entries
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

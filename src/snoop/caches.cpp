@@ -29,7 +29,7 @@ void SnoopCacheBase::write_line(CacheLine& l, sim::Addr a, unsigned size,
 // ------------------------------------------------------------ SnoopWtiCache
 
 AccessResult SnoopWtiCache::access(const MemAccess& a, std::uint64_t* hit_value,
-                                   CompleteFn on_complete) {
+                                   const CompleteFn& on_complete) {
   CCNOC_ASSERT(pending_ == Pending::kNone, "snoop-WTI cache already busy");
   const sim::Addr block = tags_.block_of(a.addr);
 
@@ -42,7 +42,7 @@ AccessResult SnoopWtiCache::access(const MemAccess& a, std::uint64_t* hit_value,
     }
     st_.load_misses->inc();
     pending_access_ = a;
-    pending_cb_ = std::move(on_complete);
+    pending_cb_ = on_complete;
     if (cfg_.drain_on_load_miss && !wbuf_.empty()) {
       pending_ = Pending::kLoadDrain;
     } else {
@@ -56,7 +56,7 @@ AccessResult SnoopWtiCache::access(const MemAccess& a, std::uint64_t* hit_value,
     st_.atomics->inc();
     if (CacheLine* l = tags_.find(block)) l->state = LineState::kInvalid;
     pending_access_ = a;
-    pending_cb_ = std::move(on_complete);
+    pending_cb_ = on_complete;
     if (!wbuf_.empty()) {
       pending_ = Pending::kSwapDrain;
     } else {
@@ -70,7 +70,7 @@ AccessResult SnoopWtiCache::access(const MemAccess& a, std::uint64_t* hit_value,
     st_.wbuf_full_stalls->inc();
     pending_ = Pending::kStoreBuffer;
     pending_access_ = a;
-    pending_cb_ = std::move(on_complete);
+    pending_cb_ = on_complete;
     return AccessResult::kPending;
   }
   perform_store(a);
@@ -168,11 +168,11 @@ void SnoopWtiCache::issue_atomic() {
   });
 }
 
-AccessResult SnoopWtiCache::drain(CompleteFn on_drained) {
+AccessResult SnoopWtiCache::drain(const CompleteFn& on_drained) {
   CCNOC_ASSERT(pending_ == Pending::kNone, "drain during a pending access");
   if (wbuf_.empty()) return AccessResult::kHit;
   pending_ = Pending::kDrainWait;
-  pending_cb_ = std::move(on_drained);
+  pending_cb_ = on_drained;
   return AccessResult::kPending;
 }
 
@@ -202,7 +202,7 @@ SnoopReply SnoopWtiCache::snoop(const BusTxn& txn) {
 // ----------------------------------------------------------- SnoopMesiCache
 
 AccessResult SnoopMesiCache::access(const MemAccess& a, std::uint64_t* hit_value,
-                                    CompleteFn on_complete) {
+                                    const CompleteFn& on_complete) {
   CCNOC_ASSERT(pending_ == Pending::kNone, "snoop-MESI cache already busy");
   const sim::Addr block = tags_.block_of(a.addr);
   CacheLine* l = tags_.find(block);
@@ -215,7 +215,7 @@ AccessResult SnoopMesiCache::access(const MemAccess& a, std::uint64_t* hit_value
       return AccessResult::kHit;
     }
     st_.load_misses->inc();
-    start_miss(a, std::move(on_complete));
+    start_miss(a, on_complete);
     return AccessResult::kPending;
   }
 
@@ -239,7 +239,7 @@ AccessResult SnoopMesiCache::access(const MemAccess& a, std::uint64_t* hit_value
     st_.store_hits_s->inc();
     pending_ = Pending::kUpgrade;
     pending_access_ = a;
-    pending_cb_ = std::move(on_complete);
+    pending_cb_ = on_complete;
     pending_line_ = l;
     BusTxn t;
     t.op = BusOp::kBusUpgr;
@@ -261,13 +261,13 @@ AccessResult SnoopMesiCache::access(const MemAccess& a, std::uint64_t* hit_value
   }
 
   st_.store_misses->inc();
-  start_miss(a, std::move(on_complete));
+  start_miss(a, on_complete);
   return AccessResult::kPending;
 }
 
-void SnoopMesiCache::start_miss(const MemAccess& a, CompleteFn cb) {
+void SnoopMesiCache::start_miss(const MemAccess& a, const CompleteFn& cb) {
   pending_access_ = a;
-  pending_cb_ = std::move(cb);
+  pending_cb_ = cb;
   pending_ = Pending::kMiss;
 
   const sim::Addr block = tags_.block_of(a.addr);

@@ -81,8 +81,8 @@ class SnoopWtiCache final : public SnoopCacheBase {
   }
 
   cache::AccessResult access(const cache::MemAccess& a, std::uint64_t* hit_value,
-                             CompleteFn on_complete) override;
-  cache::AccessResult drain(CompleteFn on_drained) override;
+                             const CompleteFn& on_complete) override;
+  cache::AccessResult drain(const CompleteFn& on_drained) override;
   SnoopReply snoop(const BusTxn& txn) override;
 
   [[nodiscard]] bool idle() const override {
@@ -140,7 +140,7 @@ class SnoopMesiCache final : public SnoopCacheBase {
   }
 
   cache::AccessResult access(const cache::MemAccess& a, std::uint64_t* hit_value,
-                             CompleteFn on_complete) override;
+                             const CompleteFn& on_complete) override;
   SnoopReply snoop(const BusTxn& txn) override;
 
   [[nodiscard]] bool idle() const override { return pending_ == Pending::kNone; }
@@ -153,7 +153,7 @@ class SnoopMesiCache final : public SnoopCacheBase {
  private:
   enum class Pending { kNone, kMiss, kUpgrade };
 
-  void start_miss(const cache::MemAccess& a, CompleteFn cb);
+  void start_miss(const cache::MemAccess& a, const CompleteFn& cb);
   void issue_fill();
   void finish(cache::CacheLine& l);
 

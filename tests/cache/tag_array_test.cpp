@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace ccnoc::cache {
 namespace {
 
@@ -97,9 +99,62 @@ TEST(TagArray, InvalidateAllClears) {
   EXPECT_EQ(t.valid_lines(), 0u);
 }
 
+// Set counts that are not a power of two take the modulo fallback of the
+// set index; the paper's power-of-two geometries take the shift-and-mask.
+TEST(TagArray, NonPow2SetCountDirectMapped) {
+  TagArray t(cfg(96, 32, 1));  // 3 sets
+  CacheLine& a = t.victim(0x0);
+  a.block = 0x0;
+  a.state = LineState::kShared;
+  EXPECT_EQ(&t.victim(3 * 32), &a);  // block 3 maps to set 0
+  EXPECT_NE(&t.victim(1 * 32), &a);  // block 1 maps to set 1
+  EXPECT_NE(&t.victim(2 * 32), &a);
+  EXPECT_EQ(t.find(3 * 32), nullptr);
+  EXPECT_EQ(t.find(0x0), &a);
+}
+
+TEST(TagArray, NonPow2SetCountLruStaysInSet) {
+  TagArray t(cfg(192, 32, 2));  // 2 ways x 3 sets
+  auto install = [&](sim::Addr block) -> CacheLine& {
+    CacheLine& l = t.victim(block);
+    EXPECT_EQ(l.state, LineState::kInvalid);
+    l.block = block;
+    l.state = LineState::kShared;
+    t.touch(l);
+    return l;
+  };
+  CacheLine& other = install(1 * 32);  // set 1: the oldest line overall
+  CacheLine& b0 = install(0 * 32);     // set 0
+  CacheLine& b3 = install(3 * 32);     // set 0
+  t.touch(b0);                         // b3 is now set 0's LRU way
+  CacheLine& v = t.victim(6 * 32);     // block 6 maps to set 0
+  EXPECT_EQ(&v, &b3);
+  EXPECT_NE(&v, &other);
+  EXPECT_EQ(t.find(1 * 32), &other);
+  EXPECT_EQ(t.find(4 * 32), nullptr);  // set 1, not installed
+}
+
+TEST(TagArray, SingleSetFullyAssociative) {
+  TagArray t(cfg(128, 32, 4));  // one set: the set mask is 0
+  std::vector<CacheLine*> lines;
+  for (sim::Addr block : {0x0, 0x1000, 0x20, 0x7fe0}) {
+    CacheLine& l = t.victim(block);
+    EXPECT_EQ(l.state, LineState::kInvalid);
+    l.block = block;
+    l.state = LineState::kShared;
+    t.touch(l);
+    lines.push_back(&l);
+  }
+  EXPECT_EQ(t.valid_lines(), 4u);
+  for (CacheLine* l : lines) EXPECT_EQ(t.find(l->block), l);
+  t.touch(*lines[0]);
+  EXPECT_EQ(&t.victim(0x40), lines[1]);  // LRU of the whole array
+}
+
 TEST(TagArray, RejectsBadGeometry) {
   EXPECT_THROW(TagArray t(cfg(4096, 33, 1)), std::logic_error);   // non-pow2 block
   EXPECT_THROW(TagArray t(cfg(4096, 128, 1)), std::logic_error);  // block > payload
+  EXPECT_THROW(TagArray t(cfg(16, 32, 1)), std::logic_error);     // no whole set
 }
 
 }  // namespace

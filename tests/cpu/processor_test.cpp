@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/bank.hpp"
 #include "noc/gmn.hpp"
 #include "os/sync.hpp"
@@ -9,14 +12,13 @@
 namespace ccnoc::cpu {
 namespace {
 
-class ProcessorTest : public ::testing::Test {
+class ProcessorTestBase : public ::testing::Test {
  protected:
-  ProcessorTest()
+  explicit ProcessorTestBase(mem::Protocol protocol)
       : map(1, 1),
         net(sim, map.num_nodes(), noc::GmnConfig{.min_latency = 4, .fifo_depth = 16}),
-        bank(sim, net, map, 0, mem::Protocol::kWbMesi),
-        node(sim, net, map, 0, mem::Protocol::kWbMesi, cache::CacheConfig{},
-             cache::CacheConfig{}),
+        bank(sim, net, map, 0, protocol),
+        node(sim, net, map, 0, protocol, cache::CacheConfig{}, cache::CacheConfig{}),
         proc(sim, node, 0) {}
 
   ThreadContext& make_thread(ThreadProgram prog) {
@@ -40,6 +42,94 @@ class ProcessorTest : public ::testing::Test {
   cache::CacheNode node;
   Processor proc;
   ThreadContext ctx;
+};
+
+class ProcessorTest : public ProcessorTestBase {
+ protected:
+  ProcessorTest() : ProcessorTestBase(mem::Protocol::kWbMesi) {}
+};
+
+class WtiProcessorTest : public ProcessorTestBase {
+ protected:
+  WtiProcessorTest() : ProcessorTestBase(mem::Protocol::kWti) {}
+};
+
+/// Instruction cache whose misses complete after a fixed latency, so stall
+/// cycles can be counted by hand. Blocks stay resident once fetched.
+class FixedLatencyICache final : public cache::CacheIface {
+ public:
+  FixedLatencyICache(sim::Simulator& sim, sim::Cycle miss_latency)
+      : sim_(sim), miss_latency_(miss_latency) {}
+
+  cache::AccessResult access(const cache::MemAccess& a, std::uint64_t* hit_value,
+                             const CompleteFn& on_complete) override {
+    *hit_value = 0;
+    const sim::Addr block = a.addr & ~sim::Addr(cfg_.block_bytes - 1);
+    accessed.push_back(block);
+    if (std::find(resident_.begin(), resident_.end(), block) != resident_.end()) {
+      return cache::AccessResult::kHit;
+    }
+    resident_.push_back(block);
+    ++misses;
+    sim_.schedule_in(miss_latency_, [on_complete] { on_complete(0); });
+    return cache::AccessResult::kPending;
+  }
+  [[nodiscard]] const cache::CacheConfig& config() const override { return cfg_; }
+  [[nodiscard]] bool idle() const override { return true; }
+
+  std::vector<sim::Addr> accessed;
+  unsigned misses = 0;
+
+ private:
+  sim::Simulator& sim_;
+  sim::Cycle miss_latency_;
+  cache::CacheConfig cfg_;  // 32-byte blocks
+  std::vector<sim::Addr> resident_;
+};
+
+/// Round-robin scheduler that deschedules the running thread at its first
+/// tick only, and records what the processor had done by then.
+class SwitchOnceScheduler final : public SchedulerIf {
+ public:
+  SwitchOnceScheduler(sim::Simulator& sim, cache::CacheIface& dcache,
+                      std::vector<ThreadContext*> ready)
+      : sim_(sim), dcache_(dcache), ready_(std::move(ready)) {}
+
+  [[nodiscard]] sim::Cycle tick_period() const override {
+    return ticks == 0 ? kFirstTick : kNever;
+  }
+  ThreadProgram tick(unsigned, ThreadContext&) override {
+    ++ticks;
+    tick_cycle = sim_.now();
+    return []() -> ThreadProgram { co_return; }();
+  }
+  [[nodiscard]] bool should_switch(unsigned) override { return ticks == 1 && !switched_; }
+  void deschedule(unsigned, ThreadContext& t) override {
+    switched_ = true;
+    deschedule_cycle = sim_.now();
+    drained_at_deschedule = dcache_.idle();
+    ready_.push_back(&t);
+  }
+  ThreadContext* next_thread(unsigned) override {
+    if (ready_.empty()) return nullptr;
+    ThreadContext* t = ready_.front();
+    ready_.erase(ready_.begin());
+    return t;
+  }
+  void thread_finished(unsigned, ThreadContext&) override {}
+
+  static constexpr sim::Cycle kFirstTick = 4;
+  static constexpr sim::Cycle kNever = 1'000'000;
+  unsigned ticks = 0;
+  sim::Cycle tick_cycle = 0;
+  sim::Cycle deschedule_cycle = 0;
+  bool drained_at_deschedule = false;
+
+ private:
+  sim::Simulator& sim_;
+  cache::CacheIface& dcache_;
+  std::vector<ThreadContext*> ready_;
+  bool switched_ = false;
 };
 
 TEST_F(ProcessorTest, RunsProgramToCompletion) {
@@ -152,6 +242,66 @@ TEST_F(ProcessorTest, PcWrapsAroundCodeRegion) {
   }());
   EXPECT_TRUE(ctx.finished);
   EXPECT_LT(ctx.pc_off, 1024u);
+}
+
+TEST_F(ProcessorTest, IfetchSpanningTwoMissingBlocksChainsBothFills) {
+  constexpr sim::Cycle kMiss = 7;
+  FixedLatencyICache icache(sim, kMiss);
+  Processor p(sim, node.dcache(), icache, 1);
+  ThreadContext t;
+  t.code_base = 0x8000;  // block-aligned
+  t.code_size = 1024;
+  t.program = []() -> ThreadProgram {
+    co_yield ThreadOp::compute(12);  // 48 code bytes: blocks 0x8000 and 0x8020
+    co_yield ThreadOp::compute(4);   // 0x8030..0x803f: a hit in block 0x8020
+  }();
+  p.assign_thread(&t);
+  p.start();
+  sim.run_to_completion();
+  EXPECT_TRUE(t.finished);
+  EXPECT_EQ(icache.misses, 2u);
+  // The fetch queue is consumed from its back; the second fill is issued
+  // from the first fill's completion.
+  EXPECT_EQ(icache.accessed, (std::vector<sim::Addr>{0x8020, 0x8000, 0x8020}));
+  // First op: fetch issued at cycle 1, fills at 1+7 and 8+7, executes at 15
+  // for 12 cycles. Second op: hits at 27, executes for 4.
+  EXPECT_EQ(p.i_stall_cycles(), 2 * kMiss);
+  EXPECT_EQ(p.last_active_cycle(), 1 + 2 * kMiss + 12);
+  EXPECT_EQ(p.instructions(), 16u);
+}
+
+TEST_F(WtiProcessorTest, ContextSwitchWaitsForBufferedStoresThenResumes) {
+  ThreadContext& t0 = make_thread([]() -> ThreadProgram {
+    for (sim::Addr a = 0x100; a < 0x100 + 6 * 8; a += 8) co_yield ThreadOp::store(a, a);
+  }());
+  t0.code_size = 0;  // no instruction fetch: one store per cycle
+  ThreadContext t1;
+  t1.tid = 1;
+  t1.code_size = 0;
+  t1.program = []() -> ThreadProgram { co_yield ThreadOp::compute(3); }();
+  SwitchOnceScheduler sched(sim, node.dcache(), {&t1});
+  proc.bind(&sched, nullptr);
+  proc.assign_thread(&t0);
+  proc.start();
+  sim.run_to_completion();
+
+  // The tick at cycle 4 found three stores in the write buffer: the drain
+  // went pending and the switch happened only once it completed.
+  EXPECT_EQ(sched.ticks, 1u);
+  EXPECT_EQ(sched.tick_cycle, SwitchOnceScheduler::kFirstTick);
+  EXPECT_EQ(sim.stats().counter_value("cpu0.dcache.explicit_drains"), 1u);
+  EXPECT_TRUE(sched.drained_at_deschedule);
+  EXPECT_GT(sched.deschedule_cycle, sched.tick_cycle);
+  // The drain completion rescheduled the CPU: t1 ran, then t0 resumed and
+  // finished its stores.
+  EXPECT_TRUE(t1.finished);
+  EXPECT_TRUE(t0.finished);
+  EXPECT_EQ(t0.ops_executed, 6u);
+  EXPECT_TRUE(proc.idle());
+  EXPECT_TRUE(node.idle());
+  for (sim::Addr a = 0x100; a < 0x100 + 6 * 8; a += 8) {
+    EXPECT_EQ(bank.storage().read_uint(a, sim::kWordBytes), a);
+  }
 }
 
 }  // namespace

@@ -110,7 +110,7 @@ class Indexer {
         continue;
       }
       if (t.text == "class" || t.text == "struct" || t.text == "union") {
-        i = parse_record(i, end, record);
+        i = parse_record(i, end);
         continue;
       }
       if (t.text == "enum") {
@@ -149,7 +149,7 @@ class Indexer {
   }
 
   /// `i` points at class/struct/union. Returns the index to resume from.
-  std::size_t parse_record(std::size_t i, std::size_t end, const std::string& outer) {
+  std::size_t parse_record(std::size_t i, std::size_t end) {
     std::size_t j = i + 1;
     bool align64 = false;
     std::string name;
