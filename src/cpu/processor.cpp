@@ -47,10 +47,13 @@ void Processor::wake() {
 void Processor::schedule_step(sim::Cycle delay) {
   CCNOC_ASSERT(!step_scheduled_, "processor step double-scheduled");
   step_scheduled_ = true;
-  sim_.schedule_in(std::max<sim::Cycle>(delay, 1), [this] {
-    step_scheduled_ = false;
-    step();
-  });
+  sim_.schedule_in(std::max<sim::Cycle>(delay, 1), &Processor::on_step, this);
+}
+
+void Processor::on_step(void* self, std::uint64_t) {
+  auto* p = static_cast<Processor*>(self);
+  p->step_scheduled_ = false;
+  p->step();
 }
 
 void Processor::step() {

@@ -69,6 +69,7 @@ class Processor {
 
  private:
   void schedule_step(sim::Cycle delay);
+  static void on_step(void* self, std::uint64_t);
   void step();
   bool fetch_next_op();
   void prepare_ifetch();

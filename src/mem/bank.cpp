@@ -134,7 +134,11 @@ void Bank::start_service(Message req, sim::NodeId src) {
   // Service occupancy on the bank's trace track, one slice per request.
   tr_->complete(start, start + service, node_, to_string(rt),
                 sim::Tracer::kPidBank, bank_tid_);
-  sim_.schedule_at(start + service, [this, block] { process_request(block); });
+  sim_.schedule_at(start + service, &Bank::on_service_done, this, block);
+}
+
+void Bank::on_service_done(void* self, std::uint64_t block) {
+  static_cast<Bank*>(self)->process_request(block);
 }
 
 void Bank::process_request(sim::Addr block) {

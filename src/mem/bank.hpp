@@ -110,6 +110,7 @@ class Bank : public noc::Endpoint {
 
   void enqueue_request(const noc::Packet& pkt);
   void start_service(noc::Message req, sim::NodeId src);
+  static void on_service_done(void* self, std::uint64_t block);
   void process_request(sim::Addr block);
 
   void process_read_shared(Txn& t);

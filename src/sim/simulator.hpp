@@ -156,6 +156,14 @@ class Simulator {
 
   [[nodiscard]] Cycle now() const { return active_queue().now(); }
 
+  /// Typed scheduling (see EventQueue::Fn): no callable is built or stored,
+  /// which is what the per-step hot paths (processor, bank) use.
+  void schedule_in(Cycle delay, EventQueue::Fn fn, void* ctx, std::uint64_t arg = 0) {
+    active_queue().schedule_in(delay, fn, ctx, arg);
+  }
+  void schedule_at(Cycle when, EventQueue::Fn fn, void* ctx, std::uint64_t arg = 0) {
+    active_queue().schedule_at(when, fn, ctx, arg);
+  }
   void schedule_in(Cycle delay, EventQueue::Callback cb) {
     active_queue().schedule_in(delay, std::move(cb));
   }

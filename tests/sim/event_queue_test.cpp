@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <tuple>
 #include <vector>
+
+#include "sim/rng.hpp"
 
 namespace ccnoc::sim {
 namespace {
@@ -299,6 +303,220 @@ TEST(EventQueue, KeyedAndLocalEventsInterleaveWithSlotReuse) {
     if (round % 3 == 0) m.step();
   }
   m.drain();
+}
+
+
+// --- typed events and the near-cycle ring ----------------------------------
+
+void push_id(void* ctx, std::uint64_t id) {
+  static_cast<std::vector<int>*>(ctx)->push_back(int(id));
+}
+
+TEST(EventQueue, TypedEventsRunWithTheirContextAndArgument) {
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule_in(3, &push_id, &fired, 7);
+  q.schedule_at(200, &push_id, &fired, 9);  // beyond the ring: heap
+  q.schedule_in(3, [&] { fired.push_back(8); });
+  q.run();
+  EXPECT_EQ(fired, (std::vector<int>{7, 8, 9}));
+  EXPECT_EQ(q.now(), 200u);
+  EXPECT_EQ(q.executed(), 3u);  // typed events count like any other
+}
+
+TEST(EventQueue, TypedSchedulingInThePastThrows) {
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule_in(10, &push_id, &fired, 1);
+  q.step();
+  EXPECT_THROW(q.schedule_at(9, &push_id, &fired, 2), std::logic_error);
+}
+
+TEST(EventQueue, RingBoundaryKeepsSchedulingOrder) {
+  // Three events for cycle 100, scheduled 65, 64 and 63 cycles ahead from
+  // cycles 35, 36 and 37: the first two go to the heap, the third to the
+  // ring. A keyed arrival still leads the cycle, and an event scheduled one
+  // cycle ahead from 99 comes last.
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule_at(35, [&] { q.schedule_in(65, &push_id, &fired, 1); });
+  q.schedule_at(36, [&] { q.schedule_in(64, [&] { fired.push_back(2); }); });
+  q.schedule_at(37, [&] { q.schedule_in(63, &push_id, &fired, 3); });
+  q.schedule_at(99, [&] {
+    q.schedule_in(1, &push_id, &fired, 4);
+    q.schedule_keyed(100, 5, [&] { fired.push_back(0); });
+  });
+  q.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(q.now(), 100u);
+}
+
+TEST(EventQueue, QueriesCoverRingAndHeap) {
+  EventQueue q;
+  std::vector<int> fired;
+  // Ring only: near local events.
+  q.schedule_in(5, &push_id, &fired, 1);
+  q.schedule_in(5, &push_id, &fired, 2);
+  q.schedule_in(63, &push_id, &fired, 3);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_EQ(q.next_event_at(), 5u);
+  q.step();
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_EQ(q.next_event_at(), 5u);
+  q.step();
+  EXPECT_EQ(q.next_event_at(), 63u);
+  q.step();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending(), 0u);
+
+  // Heap only: a far local event and a keyed one.
+  q.schedule_in(64, &push_id, &fired, 4);
+  q.schedule_keyed(q.now() + 2, 11, [&] { fired.push_back(5); });
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_EQ(q.next_event_at(), 65u);
+
+  // Both: the earliest of either store is reported, whichever holds it.
+  q.schedule_in(1, &push_id, &fired, 6);
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_EQ(q.next_event_at(), 64u);
+  q.step();
+  EXPECT_EQ(q.next_event_at(), 65u);  // now the heap's keyed event
+  q.schedule_in(3, &push_id, &fired, 7);
+  EXPECT_EQ(q.next_event_at(), 65u);
+  q.step();
+  EXPECT_EQ(q.next_event_at(), 67u);  // the ring's again
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_EQ(q.run_before(67), 0u);
+  EXPECT_EQ(q.run_before(68), 1u);
+  EXPECT_EQ(q.next_event_at(), 127u);
+  q.run();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 6, 5, 7, 4}));
+  EXPECT_EQ(q.executed(), 7u);
+}
+
+// Seeded differential run against a reference multimap keyed by (when,
+// order): every executed event must be the reference's earliest, and the
+// queries must agree after every operation.
+class Differential {
+ public:
+  explicit Differential(std::uint64_t seed) : rng_(seed) {}
+
+  /// Schedules one random event: typed or std::function, local or keyed,
+  /// 0–200 cycles ahead (so across the ring boundary in both directions).
+  Cycle spawn() {
+    const int id = next_id_++;
+    const std::uint64_t r = rng_.next_below(10);
+    const Cycle delay = r < 3 ? rng_.next_below(3)     // same/next cycles
+                        : r < 8 ? rng_.next_below(70)  // around the ring size
+                                : rng_.next_below(201);
+    const Cycle when = q_.now() + delay;
+    const std::uint64_t kind = rng_.next_below(4);
+    if (kind == 0) {
+      const std::uint64_t key = (rng_.next_below(1u << 16) << 32) | keyed_seq_++;
+      ref_.emplace(std::make_pair(when, key), id);
+      q_.schedule_keyed(when, key, [this, id] { fire(id); });
+      return when;
+    }
+    ref_.emplace(std::make_pair(when, EventQueue::kLocalOrder | local_seq_++), id);
+    if (kind == 1) {
+      q_.schedule_at(when, [this, id] { fire(id); });
+    } else {
+      q_.schedule_at(when, &Differential::fire_typed, this, std::uint64_t(id));
+    }
+    return when;
+  }
+
+  void check_queries() {
+    ASSERT_EQ(q_.empty(), ref_.empty());
+    ASSERT_EQ(q_.pending(), ref_.size());
+    if (!ref_.empty()) {
+      ASSERT_EQ(q_.next_event_at(), ref_.begin()->first.first);
+    }
+  }
+
+  void run(int ops) {
+    for (int i = 0; i < 40; ++i) spawn();
+    for (int op = 0; op < ops && !::testing::Test::HasFatalFailure(); ++op) {
+      const std::uint64_t r = rng_.next_below(10);
+      if (r < 5) {
+        q_.step();
+      } else if (r < 7) {
+        // Idle advance past (possibly) every pending event, then schedule
+        // from the new now().
+        const Cycle limit = q_.now() + rng_.next_below(120);
+        const Cycle before = q_.now();
+        last_ = limit;
+        q_.run(limit);
+        last_ = ~Cycle{0};
+        EXPECT_EQ(q_.now(), std::max(before, limit));
+        if (!ref_.empty()) {
+          EXPECT_GT(ref_.begin()->first.first, limit);
+        }
+        for (int k = 0; k < 4; ++k) spawn();
+      } else if (r < 9) {
+        const Cycle horizon = q_.now() + 1 + rng_.next_below(80);
+        last_ = horizon - 1;
+        q_.run_before(horizon);
+        last_ = ~Cycle{0};
+        if (!ref_.empty()) {
+          EXPECT_GE(ref_.begin()->first.first, horizon);
+        }
+      } else {
+        for (int k = 0; k < 8; ++k) spawn();
+      }
+      check_queries();
+      if (ref_.size() < 20) {
+        for (int k = 0; k < 20; ++k) spawn();
+      }
+    }
+    while (q_.step()) {
+    }
+    EXPECT_TRUE(ref_.empty());
+    EXPECT_EQ(q_.executed(), std::uint64_t(fired_));
+    EXPECT_GT(same_cycle_spawns_, 0u);
+  }
+
+ private:
+  static void fire_typed(void* self, std::uint64_t id) {
+    static_cast<Differential*>(self)->fire(int(id));
+  }
+  void fire(int id) {
+    ++fired_;
+    ASSERT_FALSE(ref_.empty());
+    const auto it = ref_.begin();
+    ASSERT_EQ(it->second, id) << "at cycle " << q_.now();
+    ASSERT_EQ(q_.now(), it->first.first);
+    ASSERT_LE(q_.now(), last_) << "ran past the run limit or horizon";
+    ref_.erase(it);
+    // Schedule while this event's own bucket may still be draining,
+    // sometimes at the current cycle.
+    if (fired_ < 20000) {
+      for (std::uint64_t k = rng_.next_below(3); k > 0; --k) {
+        if (spawn() == q_.now()) ++same_cycle_spawns_;
+      }
+    }
+  }
+
+  EventQueue q_;
+  Rng rng_;
+  std::multimap<std::pair<Cycle, std::uint64_t>, int> ref_;
+  std::uint64_t local_seq_ = 0;
+  std::uint64_t keyed_seq_ = 0;
+  int next_id_ = 0;
+  int fired_ = 0;
+  Cycle last_ = ~Cycle{0};  ///< latest cycle the current run may execute
+  std::uint64_t same_cycle_spawns_ = 0;
+};
+
+TEST(EventQueue, MatchesReferenceOrderAcrossRingAndHeap) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    Differential d(seed);
+    d.run(4000);
+  }
 }
 
 }  // namespace
