@@ -55,10 +55,6 @@ void Checker::register_bank(mem::Bank& bank) { banks_.push_back(&bank); }
 
 void Checker::register_l2(mem::L2Bank& l2) { l2_banks_.push_back(&l2); }
 
-mem::Bank& Checker::bank_of(sim::Addr a) const {
-  return *banks_[map_.bank_index_of(a)];
-}
-
 void Checker::violation(const char* rule, std::string detail) {
   ++total_violations_;
   if (violations_.size() < cfg_.max_violations) {

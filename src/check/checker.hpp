@@ -24,6 +24,7 @@
 ///  * SWMR — at most one Exclusive/Modified copy of a block exists, and it
 ///    never coexists with any other valid copy (MESI; strict at all times,
 ///    because grants are only issued after every stale copy has acked).
+///    Reported in block-address order, naming the lowest-numbered owner.
 ///  * Write-through cleanliness — WTI/WTU caches hold lines only in I or S,
 ///    and their directory entries are never dirty (memory is always clean).
 ///  * Directory/tag cross-check — a valid cached copy implies its presence
@@ -172,7 +173,9 @@ class Checker final : public sim::CoherenceProbe {
 
   void violation(const char* rule, std::string detail);
   void walk_impl(bool strict);
-  [[nodiscard]] mem::Bank& bank_of(sim::Addr a) const;
+  [[nodiscard]] mem::Bank& bank_of(sim::Addr a) const {
+    return *banks_[map_.bank_index_of(a)];
+  }
   [[nodiscard]] sim::Addr block_of(sim::Addr a) const {
     return a & ~sim::Addr(block_bytes_ - 1);
   }
@@ -188,6 +191,27 @@ class Checker final : public sim::CoherenceProbe {
   std::vector<NodeRec> nodes_;      ///< indexed by cpu
   std::vector<mem::Bank*> banks_;   ///< indexed by bank
   std::vector<mem::L2Bank*> l2_banks_;  ///< indexed by l2 bank; empty = flat
+
+  // Walker scratch (invariants.cpp), cleared at every walk and kept between
+  // walks so a walk allocates nothing once the vectors have grown.
+  /// Bytes of one block covered by a CPU's own buffered stores, bit i =
+  /// byte i of the block.
+  struct OwnBytes {
+    sim::Addr block;
+    std::uint64_t mask;
+  };
+  /// An Exclusive/Modified data-cache copy, for the SWMR audit.
+  struct OwnedCopy {
+    sim::Addr block;
+    unsigned cpu;
+    friend bool operator<(const OwnedCopy& a, const OwnedCopy& b) {
+      return a.block != b.block ? a.block < b.block : a.cpu < b.cpu;
+    }
+  };
+  std::vector<sim::Addr> wb_blocks_;     ///< in a write-back buffer; sorted
+  std::vector<OwnBytes> own_bytes_;      ///< the walked CPU's buffered stores
+  std::vector<sim::Addr> valid_blocks_;  ///< one entry per valid data-cache copy
+  std::vector<OwnedCopy> owned_;         ///< E/M data-cache copies
 
   sim::Cycle replay_now_ = kNoReplayNow;
   std::vector<Violation> violations_;  ///< first `max_violations` kept

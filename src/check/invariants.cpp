@@ -1,6 +1,7 @@
+#include <algorithm>
+#include <array>
+#include <cstring>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/mesi_controller.hpp"
@@ -16,10 +17,42 @@
 /// blocks parked in a write-back buffer — are exempt from the point-in-time
 /// cross-checks, because those are exactly the legal transient windows.
 /// Strict mode (end of run, platform quiescent) applies no exemptions.
+///
+/// A walk visits every L1 line, so it allocates nothing and hashes little:
+/// its scratch lives in Checker members that are cleared, not rebuilt, bank
+/// bytes are compared in place through PagedStorage::peek, and the escapes
+/// are looked up only for a line that has failed a check.
 
 namespace ccnoc::check {
 
 namespace {
+
+static_assert(noc::kMaxBlockBytes <= 64,
+              "a block's buffered-store bytes are one 64-bit mask");
+
+/// What a never-written page holds.
+constexpr std::array<std::uint8_t, noc::kMaxBlockBytes> kZeroBlock{};
+
+/// A block's stored bytes, read in place. Lines visited one after another
+/// often share a page, so the last page looked up is kept.
+class BlockReader {
+ public:
+  const std::uint8_t* operator()(const mem::PagedStorage& s, sim::Addr block) {
+    const sim::Addr page = block >> mem::PagedStorage::kPageShift;
+    if (&s != storage_ || page != page_) {
+      storage_ = &s;
+      page_ = page;
+      base_ = s.peek(page << mem::PagedStorage::kPageShift);
+    }
+    if (base_ == nullptr) return kZeroBlock.data();
+    return base_ + (block & (mem::PagedStorage::kPageBytes - 1));
+  }
+
+ private:
+  const mem::PagedStorage* storage_ = nullptr;
+  sim::Addr page_ = 0;
+  const std::uint8_t* base_ = nullptr;
+};
 
 std::string hex(std::uint64_t v) {
   std::ostringstream os;
@@ -37,26 +70,24 @@ std::string line_desc(unsigned cpu, bool icache, sim::Addr block) {
 void Checker::walk_impl(bool strict) {
   const unsigned bb = block_bytes_;
   const unsigned num_cpus = unsigned(nodes_.size());
+  BlockReader read_block;
 
   // Blocks whose evicted dirty data is in flight to a bank: their storage is
   // legitimately stale until the write-back lands.
-  std::unordered_set<sim::Addr> wb_blocks;
-  for (const NodeRec& n : nodes_) {
-    if (n.mesi != nullptr) {
-      n.mesi->for_each_writeback([&](sim::Addr block) { wb_blocks.insert(block); });
+  wb_blocks_.clear();
+  if (!strict) {
+    for (const NodeRec& n : nodes_) {
+      if (n.mesi != nullptr) {
+        n.mesi->for_each_writeback([&](sim::Addr block) { wb_blocks_.push_back(block); });
+      }
     }
+    std::sort(wb_blocks_.begin(), wb_blocks_.end());
   }
 
-  // Census of valid copies, block -> count of E/M copies + total copies,
-  // for the SWMR audit after the per-line pass.
-  struct Census {
-    unsigned copies = 0;
-    unsigned exclusive = 0;
-    unsigned first_owner = 0;  ///< cpu of the first E/M copy seen
-  };
-  std::unordered_map<sim::Addr, Census> census;
-
-  std::vector<std::uint8_t> mem_bytes(bb);
+  // Census of valid data-cache copies and of the E/M ones among them, for
+  // the SWMR audit after the per-line pass.
+  valid_blocks_.clear();
+  owned_.clear();
 
   for (unsigned cpu = 0; cpu < num_cpus; ++cpu) {
     const NodeRec& n = nodes_[cpu];
@@ -65,14 +96,16 @@ void Checker::walk_impl(bool strict) {
     // Bytes of each block covered by this CPU's own buffered stores: a WTI
     // store hit patched the local line while the bank copy updates at the
     // write-through, so those bytes legally differ until the ack.
-    std::unordered_map<sim::Addr, std::vector<bool>> own_bytes;
+    own_bytes_.clear();
     if (!strict && n.wti != nullptr) {
       n.wti->for_each_buffered_store([&](sim::Addr a, unsigned size, std::uint64_t) {
         for (unsigned i = 0; i < size; ++i) {
-          sim::Addr byte = a + i;
-          auto& mask = own_bytes[block_of(byte)];
-          if (mask.empty()) mask.resize(bb, false);
-          mask[unsigned(byte - block_of(byte))] = true;
+          const sim::Addr byte = a + i;
+          const sim::Addr block = block_of(byte);
+          auto it = std::find_if(own_bytes_.begin(), own_bytes_.end(),
+                                 [&](const OwnBytes& o) { return o.block == block; });
+          if (it == own_bytes_.end()) it = own_bytes_.insert(it, OwnBytes{block, 0});
+          it->mask |= std::uint64_t(1) << (byte - block);
         }
       });
     }
@@ -89,14 +122,16 @@ void Checker::walk_impl(bool strict) {
         mem::L2Bank* l2 =
             l2_banks_.empty() ? nullptr : l2_banks_[map_.l2_index_of(block)];
         mem::Bank& bank = l2 != nullptr ? static_cast<mem::Bank&>(*l2) : bank_of(block);
-        const bool open_txn = !strict && bank.has_open_txn(block);
+        // Every exemption below is looked up only once a check has failed:
+        // on a correct run almost none do, so most lines skip the lookups.
+        auto open_txn = [&] { return !strict && bank.has_open_txn(block); };
 
         // Inclusion: a valid L1 data-cache line implies a resident line in
         // its home L2 bank (the recall machinery exists to preserve this).
         // I-caches are exempt — their fetches are untracked, so the L2 may
         // evict code blocks without back-invalidating them (read-only data,
         // so the stale copy is harmless by construction).
-        if (l2 != nullptr && !is_icache && !l2->resident(block) && !open_txn) {
+        if (l2 != nullptr && !is_icache && !l2->resident(block) && !open_txn()) {
           violation("inclusion",
                     line_desc(cpu, is_icache, block) +
                         " is valid but its home L2 bank (l2bank" +
@@ -118,19 +153,15 @@ void Checker::walk_impl(bool strict) {
         // (read-only code, `track = false`), so only data caches take part
         // in the directory cross-checks and the SWMR census.
         if (!is_icache) {
-          Census& c = census[block];
-          ++c.copies;
-          if (exclusive) {
-            ++c.exclusive;
-            c.first_owner = cpu;
-          }
+          valid_blocks_.push_back(block);
+          if (exclusive) owned_.push_back(OwnedCopy{block, cpu});
 
           // A valid copy implies its presence bit (the directory may
           // over-approximate, never under-approximate). Direct-ack rounds
           // clear bits while invalidations are still in flight — but the
           // block stays transaction-locked until the requester's TxnDone.
           const mem::DirEntry e = bank.directory().lookup(block);
-          if (!e.is_sharer(sim::NodeId(cpu)) && !open_txn) {
+          if (!e.is_sharer(sim::NodeId(cpu)) && !open_txn()) {
             violation("presence",
                       line_desc(cpu, is_icache, block) + " is valid (" +
                           cache::to_string(l.state) +
@@ -138,8 +169,7 @@ void Checker::walk_impl(bool strict) {
           }
 
           // A cached E/M line implies dirty directory ownership by this cpu.
-          if (exclusive && !open_txn &&
-              (!e.dirty || e.owner != sim::NodeId(cpu))) {
+          if (exclusive && (!e.dirty || e.owner != sim::NodeId(cpu)) && !open_txn()) {
             violation("dirty-owner",
                       line_desc(cpu, is_icache, block) + " is " +
                           cache::to_string(l.state) +
@@ -151,17 +181,19 @@ void Checker::walk_impl(bool strict) {
         }
 
         // Data integrity: clean lines hold the bank's bytes.
-        if (exclusive && l.state == cache::LineState::kModified) return;
-        if (open_txn) return;
-        if (!strict && wb_blocks.count(block) != 0) return;
-        const std::vector<bool>* own = nullptr;
+        if (l.state == cache::LineState::kModified) return;
+        const std::uint8_t* mem_bytes = read_block(bank.storage(), block);
+        if (std::memcmp(l.data.data(), mem_bytes, bb) == 0) return;
+        if (open_txn()) return;
+        if (std::binary_search(wb_blocks_.begin(), wb_blocks_.end(), block)) return;
+        std::uint64_t own = 0;
         if (!is_icache) {
-          auto it = own_bytes.find(block);
-          if (it != own_bytes.end()) own = &it->second;
+          for (const OwnBytes& o : own_bytes_) {
+            if (o.block == block) own = o.mask;
+          }
         }
-        bank.storage().read(block, mem_bytes.data(), bb);
         for (unsigned i = 0; i < bb; ++i) {
-          if (own != nullptr && (*own)[i]) continue;
+          if ((own >> i) & 1) continue;
           if (l.data[i] == mem_bytes[i]) continue;
           violation("data",
                     line_desc(cpu, is_icache, block) + " (" +
@@ -177,15 +209,29 @@ void Checker::walk_impl(bool strict) {
   // SWMR: an Exclusive/Modified copy never coexists with any other valid
   // copy. Grants are issued only after every stale sharer acked its
   // invalidation, so this holds at every instant — no transient escape.
-  for (const auto& [block, c] : census) {
-    if (c.exclusive == 0) continue;
-    if (c.exclusive > 1 || c.copies > 1) {
-      violation("swmr", "block " + hex(block) + " has " +
-                            std::to_string(c.exclusive) + " E/M cop" +
-                            (c.exclusive == 1 ? "y" : "ies") + " among " +
-                            std::to_string(c.copies) +
-                            " valid copies (first owner cpu" +
-                            std::to_string(c.first_owner) + ")");
+  // Write-through runs never get here with an E/M copy, so they sort
+  // nothing; the rest report in block-address order.
+  if (!owned_.empty()) {
+    std::sort(owned_.begin(), owned_.end());
+    std::sort(valid_blocks_.begin(), valid_blocks_.end());
+    for (auto first = owned_.begin(); first != owned_.end();) {
+      const sim::Addr block = first->block;
+      const auto last = std::find_if(first, owned_.end(), [&](const OwnedCopy& o) {
+        return o.block != block;
+      });
+      const auto exclusive = last - first;
+      const auto [lo, hi] =
+          std::equal_range(valid_blocks_.begin(), valid_blocks_.end(), block);
+      const auto copies = hi - lo;
+      if (exclusive > 1 || copies > 1) {
+        violation("swmr", "block " + hex(block) + " has " +
+                              std::to_string(exclusive) + " E/M cop" +
+                              (exclusive == 1 ? "y" : "ies") + " among " +
+                              std::to_string(copies) +
+                              " valid copies (first owner cpu" +
+                              std::to_string(first->cpu) + ")");
+      }
+      first = last;
     }
   }
 
@@ -233,6 +279,7 @@ void Checker::walk_impl(bool strict) {
 
   // --- two-level-only audits -------------------------------------------------
   const unsigned num_l2 = unsigned(l2_banks_.size());
+  BlockReader read_l2_block;
 
   for (mem::L2Bank* l2 : l2_banks_) {
     const std::string who = "l2bank" + std::to_string(l2->l2_index());
@@ -267,9 +314,9 @@ void Checker::walk_impl(bool strict) {
                       ", owner=" + std::to_string(e.owner) + ")");
       }
       if (state == proto::LineState::kModified || open_txn) return;
-      std::vector<std::uint8_t> l2_bytes(bb);
-      l2->storage().read(block, l2_bytes.data(), bb);
-      bank_of(block).storage().read(block, mem_bytes.data(), bb);
+      const std::uint8_t* l2_bytes = read_l2_block(l2->storage(), block);
+      const std::uint8_t* mem_bytes = read_block(bank_of(block).storage(), block);
+      if (std::memcmp(l2_bytes, mem_bytes, bb) == 0) return;
       for (unsigned i = 0; i < bb; ++i) {
         if (l2_bytes[i] == mem_bytes[i]) continue;
         violation("freshness",

@@ -42,7 +42,9 @@ void Oracle::apply(sim::Addr a, const std::uint8_t* bytes, unsigned len,
     std::uint8_t cur = std::uint8_t(ref_.read_uint(a + i, 1));
     if (cur == bytes[i]) continue;  // value unchanged: no new version interval
     ref_.write_uint(a + i, bytes[i], 1);
-    hist_[a + i].push_back(Version{now, bytes[i]});
+    std::vector<Version>& vs = hist_[a + i];
+    vs.push_back(Version{now, bytes[i]});
+    if (vs.size() == 2) trimmable_.push_back(&vs);
   }
 }
 
@@ -270,15 +272,21 @@ std::optional<std::string> Oracle::final_drain_check() const {
 void Oracle::gc(sim::Cycle now, sim::Cycle horizon) {
   if (now <= horizon) return;
   const sim::Cycle cutoff = now - horizon;
-  for (auto& [addr, vs] : hist_) {
+  // A single-version history has nothing to drop, so only the trimmable
+  // ones are visited; a history trimmed back to one version leaves the list
+  // until apply() gives it a second version again.
+  std::size_t kept = 0;
+  for (std::vector<Version>* vs : trimmable_) {
     // Version i's interval ends at version i+1's start: drop versions whose
     // interval ended before the cutoff, always keeping the newest.
     std::size_t keep_from = 0;
-    while (keep_from + 1 < vs.size() && vs[keep_from + 1].since <= cutoff) {
+    while (keep_from + 1 < vs->size() && (*vs)[keep_from + 1].since <= cutoff) {
       ++keep_from;
     }
-    if (keep_from > 0) vs.erase(vs.begin(), vs.begin() + std::ptrdiff_t(keep_from));
+    if (keep_from > 0) vs->erase(vs->begin(), vs->begin() + std::ptrdiff_t(keep_from));
+    if (vs->size() > 1) trimmable_[kept++] = vs;
   }
+  trimmable_.resize(kept);
 }
 
 }  // namespace ccnoc::check

@@ -106,6 +106,9 @@ class Oracle {
 
   mem::PagedStorage ref_;  ///< current SC image
   std::unordered_map<sim::Addr, std::vector<Version>> hist_;  ///< per byte
+  /// The histories in hist_ holding two or more versions: the only ones gc
+  /// can trim (map nodes never move, and no history is ever erased).
+  std::vector<std::vector<Version>*> trimmable_;
   std::vector<std::deque<PendingStore>> pending_;             ///< per CPU (WTI)
   std::vector<std::optional<std::uint64_t>> atomic_expected_;  ///< per CPU (WTI)
 

@@ -64,6 +64,14 @@ class PagedStorage {
     write(a, &v, len);
   }
 
+  /// The stored byte at \p a, in place: reading on from it is valid up to
+  /// the end of its page, for the storage's lifetime (pages never move).
+  /// Null when the page was never written, i.e. it reads as zero.
+  [[nodiscard]] const std::uint8_t* peek(sim::Addr a) const {
+    auto it = pages_.find(a >> kPageShift);
+    return it == pages_.end() ? nullptr : it->second->data() + (a & (kPageBytes - 1));
+  }
+
   [[nodiscard]] std::size_t committed_pages() const { return pages_.size(); }
 
   /// Visit every committed page as (base_address, bytes, len). Iteration

@@ -37,6 +37,22 @@ TEST(PagedStorage, CrossPageAccess) {
   EXPECT_EQ(s.committed_pages(), 2u);
 }
 
+TEST(PagedStorage, PeekReadsInPlaceAndIsNullForUnwrittenPages) {
+  PagedStorage s;
+  EXPECT_EQ(s.peek(0x2040), nullptr);
+  s.write_uint(0x2044, 0x5a, 1);
+  const std::uint8_t* p = s.peek(0x2040);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p[4], 0x5a);
+  EXPECT_EQ(p[0], 0);
+  // In place: later writes show through, and new pages do not move it.
+  s.write_uint(0x2040, 0x7, 1);
+  s.write_uint(0x100000, 1, 1);
+  EXPECT_EQ(p[0], 0x7);
+  EXPECT_EQ(s.peek(0x2fff), p + 0xfbf);
+  EXPECT_EQ(s.peek(0x3000), nullptr);
+}
+
 TEST(PagedStorage, PartialOverwrite) {
   PagedStorage s;
   s.write_uint(0x300, 0xffffffffffffffffull, 8);
