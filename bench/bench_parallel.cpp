@@ -1,7 +1,6 @@
 // Parallel-core throughput: the 64-CPU Ocean acceptance configuration run
 // on the serial reference and on the conservative parallel engine at
-// several domain counts (see EXPERIMENTS.md, "Parallel simulation" and
-// "Parallel observability").
+// several domain counts (see EXPERIMENTS.md, "Parallel simulation").
 //
 // Two things are measured per row:
 //   * identity — every deterministic field (events, exec_cycles, noc_bytes,
@@ -10,14 +9,6 @@
 //   * throughput — events_per_sec and the speedup ratio over the serial
 //     row, which are host-speed fields and only baseline-compared under
 //     --perf-tolerance.
-//
-// The obs-* rows repeat the sweep with full tracing AND profiling on: the
-// observers are parallel-native, so these rows must stay on the parallel
-// engine, match the bare rows on every deterministic field, and produce
-// trace/profile JSON byte-identical to the observed serial row (compared
-// in-process, enforced on every invocation). Their events_per_sec lands in
-// the same baseline record, so --perf-tolerance also guards the overhead
-// of traced/profiled parallel runs.
 //
 // --parallel-domains is ignored here (the bench sweeps domain counts
 // itself); --threads/--serial are irrelevant since each row is one run.
@@ -31,7 +22,6 @@
 #include "baseline_compare.hpp"
 #include "bench_io.hpp"
 #include "core/system.hpp"
-#include "sim/profile.hpp"
 
 using namespace ccnoc;
 
@@ -40,22 +30,15 @@ namespace {
 struct Row {
   std::string label;
   core::RunResult r;
-  double wall = 0.0;    ///< seconds
-  std::string chrome;   ///< observed rows: full Chrome trace JSON
-  std::string profile;  ///< observed rows: schema-v1 profile JSON
+  double wall = 0.0;  ///< seconds
 };
 
-Row run_row(const bench::BenchOptions& opt, unsigned domains,
-            bool observed = false) {
+Row run_row(const bench::BenchOptions& opt, unsigned domains) {
   core::SystemConfig cfg =
       core::SystemConfig::architecture1(64, mem::Protocol::kWbMesi);
   cfg.parallel_domains = domains;
   cfg.heartbeat_ms = opt.heartbeat_ms;
   cfg.heartbeat_json = opt.heartbeat_json;
-  if (observed) {
-    cfg.trace = sim::TraceMode::kFull;
-    cfg.profile = sim::ProfileMode::kOn;
-  }
   core::System sys(cfg);
   apps::Ocean::Config oc;
   oc.rows_per_thread = 2;
@@ -68,12 +51,6 @@ Row run_row(const bench::BenchOptions& opt, unsigned domains,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   row.label = domains == 0 ? "serial" : "domains=" + std::to_string(domains);
-  if (observed) {
-    row.label = "obs-" + row.label;
-    row.chrome = sys.simulator().tracer().chrome_json();
-    row.profile =
-        sim::profile_json(sys.simulator().profiler().snapshot("bench"));
-  }
   return row;
 }
 
@@ -86,11 +63,7 @@ int main(int argc, char** argv) {
   rows.push_back(run_row(opt, 0));
   for (unsigned domains : {2u, 4u, 8u, 16u})
     rows.push_back(run_row(opt, domains));
-  const std::size_t first_obs = rows.size();
-  rows.push_back(run_row(opt, 0, /*observed=*/true));
-  for (unsigned domains : {4u, 16u}) rows.push_back(run_row(opt, domains, true));
   const Row& serial = rows.front();
-  const Row& obs_serial = rows[first_obs];
 
   std::printf("=== Parallel core: 64-CPU Ocean (WB-MESI, arch 1) ===\n");
   std::printf("%-12s %9s %12s %12s %14s %8s\n", "engine", "domains", "events",
@@ -106,29 +79,13 @@ int main(int argc, char** argv) {
                 row.r.exec_megacycles(), evps, speedup,
                 row.r.verified ? "" : "  [UNVERIFIED]");
     // The determinism contract, enforced on every invocation: the parallel
-    // engine may only be faster, never different — and the observers may
-    // not perturb the simulation either.
+    // engine may only be faster, never different.
     if (row.r.events != serial.r.events ||
         row.r.exec_cycles != serial.r.exec_cycles ||
         row.r.noc_bytes != serial.r.noc_bytes ||
         row.r.noc_packets != serial.r.noc_packets) {
       std::fprintf(stderr, "IDENTITY VIOLATION: %s differs from serial\n",
                    row.label.c_str());
-      identical = false;
-    }
-    // Observed parallel rows must additionally merge to byte-identical
-    // observer artifacts.
-    if (!row.chrome.empty() && &row != &obs_serial &&
-        (row.chrome != obs_serial.chrome || row.profile != obs_serial.profile)) {
-      std::fprintf(stderr,
-                   "OBSERVER MERGE VIOLATION: %s artifacts differ from %s\n",
-                   row.label.c_str(), obs_serial.label.c_str());
-      identical = false;
-    }
-    if (!row.chrome.empty() && row.label != "obs-serial" &&
-        row.r.engine != "parallel") {
-      std::fprintf(stderr, "%s fell back to the serial engine (%s)\n",
-                   row.label.c_str(), row.r.engine_fallback.c_str());
       identical = false;
     }
     log.add(row.label, {{"engine_domains", double(row.r.engine_domains)},

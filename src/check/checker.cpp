@@ -58,11 +58,11 @@ void Checker::register_l2(mem::L2Bank& l2) { l2_banks_.push_back(&l2); }
 void Checker::violation(const char* rule, std::string detail) {
   ++total_violations_;
   if (violations_.size() < cfg_.max_violations) {
-    violations_.push_back(Violation{now(), rule, std::move(detail)});
+    violations_.push_back(Violation{sim_.now(), rule, std::move(detail)});
   }
   if (cfg_.abort_on_violation) {
     std::fprintf(stderr, "[check] %s @ cycle %llu: %s\n", rule,
-                 (unsigned long long)now(), violations_.back().detail.c_str());
+                 (unsigned long long)sim_.now(), violations_.back().detail.c_str());
     std::abort();
   }
 }
@@ -72,7 +72,7 @@ void Checker::violation(const char* rule, std::string detail) {
 void Checker::load_commit(unsigned cpu, sim::Addr a, unsigned size,
                           std::uint64_t v, sim::Cycle issued) {
   if (!oracle_) return;
-  if (auto viol = oracle_->load_commit(cpu, a, size, v, issued, now())) {
+  if (auto viol = oracle_->load_commit(cpu, a, size, v, issued, sim_.now())) {
     violation("oracle-load", std::move(*viol));
   }
 }
@@ -80,7 +80,7 @@ void Checker::load_commit(unsigned cpu, sim::Addr a, unsigned size,
 void Checker::store_commit(unsigned cpu, sim::Addr a, unsigned size,
                            std::uint64_t v) {
   if (!oracle_) return;
-  if (auto viol = oracle_->store_commit(cpu, a, size, v, now())) {
+  if (auto viol = oracle_->store_commit(cpu, a, size, v, sim_.now())) {
     violation("oracle-store", std::move(*viol));
   }
 }
@@ -90,7 +90,7 @@ void Checker::atomic_commit(unsigned cpu, sim::Addr a, unsigned size,
                             bool is_add) {
   if (!oracle_) return;
   if (auto viol = oracle_->atomic_commit(cpu, a, size, returned_old, operand,
-                                         is_add, now())) {
+                                         is_add, sim_.now())) {
     violation("oracle-atomic", std::move(*viol));
   }
 }
@@ -98,7 +98,7 @@ void Checker::atomic_commit(unsigned cpu, sim::Addr a, unsigned size,
 void Checker::global_store(unsigned cpu, sim::Addr a, unsigned size,
                            std::uint64_t v, bool deferred) {
   if (!oracle_) return;
-  if (auto viol = oracle_->global_store(cpu, a, size, v, deferred, now())) {
+  if (auto viol = oracle_->global_store(cpu, a, size, v, deferred, sim_.now())) {
     violation("oracle-retire", std::move(*viol));
   }
 }
@@ -106,19 +106,19 @@ void Checker::global_store(unsigned cpu, sim::Addr a, unsigned size,
 void Checker::global_atomic(unsigned cpu, sim::Addr a, unsigned size, bool is_add,
                             std::uint64_t operand) {
   if (!oracle_) return;
-  oracle_->global_atomic(cpu, a, size, is_add, operand, now());
+  oracle_->global_atomic(cpu, a, size, is_add, operand, sim_.now());
 }
 
 void Checker::txn_released(unsigned cpu, sim::Addr block) {
   if (!oracle_) return;
-  if (auto viol = oracle_->txn_released(cpu, block, now())) {
+  if (auto viol = oracle_->txn_released(cpu, block, sim_.now())) {
     violation("oracle-retire", std::move(*viol));
   }
 }
 
 void Checker::backdoor_write(sim::Addr a, const void* data, unsigned len) {
   if (!oracle_) return;
-  oracle_->backdoor_write(a, data, len, now());
+  oracle_->backdoor_write(a, data, len, sim_.now());
 }
 
 // --- walker entry points (walk_impl lives in invariants.cpp) ---------------
@@ -126,11 +126,7 @@ void Checker::backdoor_write(sim::Addr a, const void* data, unsigned len) {
 void Checker::walk() {
   ++walks_;
   if (cfg_.invariants) walk_impl(/*strict=*/false);
-  if (oracle_) oracle_->gc(now(), cfg_.history_horizon);
-}
-
-void Checker::replay_gc() {
-  if (oracle_) oracle_->gc(now(), cfg_.history_horizon);
+  if (oracle_) oracle_->gc(sim_.now(), cfg_.history_horizon);
 }
 
 void Checker::final_audit() {

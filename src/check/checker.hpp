@@ -119,16 +119,6 @@ class Checker final : public sim::CoherenceProbe {
   void txn_released(unsigned cpu, sim::Addr block) override;
   void backdoor_write(sim::Addr a, const void* data, unsigned len) override;
 
-  // --- parallel replay support (replay.hpp) ---------------------------------
-  /// Pin the checker's notion of "now" to a replayed record's cycle: every
-  /// oracle window and violation timestamp uses it until cleared, so a
-  /// post-run replay produces the same diagnostics a live serial run would.
-  void set_replay_now(sim::Cycle c) { replay_now_ = c; }
-  void clear_replay_now() { replay_now_ = kNoReplayNow; }
-  /// Oracle byte-version-history GC at the current (possibly replayed)
-  /// clock — the replay-loop stand-in for the periodic walk's GC.
-  void replay_gc();
-
   // --- invariant walker ----------------------------------------------------
   /// Periodic audit (point-in-time escapes for legal transients) + oracle
   /// history GC. Called from the run loop every `walk_interval` cycles.
@@ -164,12 +154,6 @@ class Checker final : public sim::CoherenceProbe {
     const cache::WtiController* wti = nullptr;
     const cache::MesiController* mesi = nullptr;
   };
-
-  static constexpr sim::Cycle kNoReplayNow = ~sim::Cycle{0};
-  /// The checker clock: the simulator's unless a replay pinned it.
-  [[nodiscard]] sim::Cycle now() const {
-    return replay_now_ == kNoReplayNow ? sim_.now() : replay_now_;
-  }
 
   void violation(const char* rule, std::string detail);
   void walk_impl(bool strict);
@@ -213,7 +197,6 @@ class Checker final : public sim::CoherenceProbe {
   std::vector<sim::Addr> valid_blocks_;  ///< one entry per valid data-cache copy
   std::vector<OwnedCopy> owned_;         ///< E/M data-cache copies
 
-  sim::Cycle replay_now_ = kNoReplayNow;
   std::vector<Violation> violations_;  ///< first `max_violations` kept
   std::uint64_t total_violations_ = 0;
   std::uint64_t walks_ = 0;

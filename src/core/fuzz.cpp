@@ -31,7 +31,6 @@ std::string FuzzOptions::command_line() const {
     os << " --l2-banks " << l2_banks;
     if (l2_size_bytes != 2048) os << " --l2-bytes " << l2_size_bytes;
   }
-  if (parallel_domains != 0) os << " --parallel-domains " << parallel_domains;
   return os.str();
 }
 
@@ -39,9 +38,7 @@ std::string FuzzOutcome::summary() const {
   std::ostringstream os;
   if (passed()) {
     os << "PASS (" << cycles << " cycles, " << loads_checked
-       << " loads checked";
-    if (engine == "parallel") os << ", parallel x" << engine_domains;
-    os << ")";
+       << " loads checked)";
     return os.str();
   }
   os << "FAIL:";
@@ -69,7 +66,6 @@ FuzzOutcome run_fuzz(const FuzzOptions& opt) {
   if (!opt.trace_path.empty()) cfg.trace = sim::TraceMode::kFull;
   if (!opt.profile_path.empty()) cfg.profile = sim::ProfileMode::kOn;
   if (!opt.latency_path.empty()) cfg.latency = sim::LatencyMode::kOn;
-  cfg.parallel_domains = opt.parallel_domains;
   cfg.heartbeat_ms = opt.heartbeat_ms;
   cfg.heartbeat_json = opt.heartbeat_json;
 
@@ -103,8 +99,6 @@ FuzzOutcome run_fuzz(const FuzzOptions& opt) {
   out.violations = r.check_violations;
   out.loads_checked = r.check_loads_verified;
   out.cycles = r.exec_cycles;
-  out.engine = r.engine;
-  out.engine_domains = r.engine_domains;
   out.report = r.check_report;
   out.exercised = sys.simulator().proto_coverage();
   return out;

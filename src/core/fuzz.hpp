@@ -51,13 +51,6 @@ struct FuzzOptions {
   /// When non-empty, write a per-phase latency breakdown of the run here
   /// (same schema as tools/ccnoc_latency; see EXPERIMENTS.md).
   std::string latency_path;
-  /// Domain partition to build the platform with (SystemConfig::
-  /// parallel_domains). Coherence checking is parallel-native — the probe
-  /// stream is recorded per domain and replayed through the checker in
-  /// canonical order — so a partitioned fuzz run genuinely takes the
-  /// parallel engine, and its verdict and every outcome field must still be
-  /// identical to the serial reference.
-  unsigned parallel_domains = 0;
   /// Live telemetry passthrough (SystemConfig::heartbeat_*): progress
   /// heartbeats every heartbeat_ms, optionally streamed as JSONL.
   unsigned heartbeat_ms = 0;
@@ -74,8 +67,6 @@ struct FuzzOutcome {
   std::uint64_t violations = 0;
   std::uint64_t loads_checked = 0;
   sim::Cycle cycles = 0;
-  std::string engine;           ///< engine actually used ("serial"/"parallel")
-  unsigned engine_domains = 1;  ///< RunResult::engine_domains
   std::string report;  ///< checker violation report; empty when clean
   /// Declarative table rows (proto/tables.hpp) this run's controllers and
   /// bank took. Reconciled against the model checker's explored set: every

@@ -106,22 +106,11 @@ System::System(SystemConfig cfg)
   }
 
   // Checker likewise before any component: processors and banks cache the
-  // probe pointer in their constructors. On partitioned runs the probe is a
-  // recorder: events land in per-domain shards and are replayed through the
-  // checker in canonical order after the run (check/replay.hpp), so the
-  // oracle sees one deterministic stream regardless of the engine.
+  // probe pointer in their constructors.
   if (cfg_.check.enabled) {
     checker_ = std::make_unique<check::Checker>(sim_, map_, cfg_.protocol,
                                                 cfg_.dcache, cfg_.check);
-    if (checker_->wants_probe()) {
-      if (sim_.num_domains() > 1) {
-        recorder_ = std::make_unique<check::ProbeRecorder>(sim_, map_, *checker_,
-                                                           sim_.num_domains());
-        sim_.set_probe(recorder_.get());
-      } else {
-        sim_.set_probe(checker_.get());
-      }
-    }
+    if (checker_->wants_probe()) sim_.set_probe(checker_.get());
   }
 
   const std::size_t nodes = map_.num_nodes();
@@ -226,19 +215,11 @@ RunResult System::run(apps::Workload& workload, unsigned nthreads,
   }
   if (use_parallel) {
     r.events = run_parallel(max_cycles);
-  } else if (checker_ && recorder_ == nullptr) {
+  } else if (checker_) {
     r.events = run_with_checker(max_cycles);
   } else {
-    // Includes partitioned checked runs that fell back serial: the recorder
-    // is already installed, so the probe stream is replayed below either
-    // way and the verdict is engine-independent.
     r.events = sim_.run_to_completion(max_cycles);
   }
-  // Feed the recorded probe stream through the checker in canonical
-  // (cycle, node, seq) order before anything below consults the verdict.
-  // Periodic invariant walks are skipped on recorded runs — the strict
-  // final audit below still covers every end-state invariant.
-  if (recorder_ != nullptr) recorder_->replay();
   r.completed = kernel_->all_finished();
 
   // Execution time = last cycle a processor retired work (the event queue
@@ -259,8 +240,8 @@ RunResult System::run(apps::Workload& workload, unsigned nthreads,
   }
   // Embed the latency breakdown into the tracer's run report, so one
   // report_json() carries both views. latency_json is deterministic (no
-  // run/engine metadata), so the embedded report stays byte-identical
-  // across engines too.
+  // run/engine metadata), so only the report's "run" object names the
+  // engine.
   if (sim_.tracer().on() && sim_.latency().on()) {
     sim_.tracer().set_report_extra(",\"latency\":" +
                                    sim::latency_json(sim_.latency()));
@@ -287,21 +268,16 @@ bool System::parallel_eligible(unsigned nthreads) const {
 }
 
 const char* System::parallel_block_reason(unsigned nthreads) const {
-  // The tracer, profiler and oracle checker are parallel-native: they
-  // record into per-domain shards stamped with (cycle, node, seq) order
-  // keys and merge/replay deterministically after the run, so they no
-  // longer force the serial engine. What remains serial-only:
+  // Serial-only runs:
   //
-  //  - trace-level logging interleaves free-form lines in execution order,
-  //    which has no canonical merge;
-  //  - a walker-only checker (no probe) audits invariants on a platform
-  //    that is quiescent *between events*, which only the sequenced core
-  //    guarantees;
+  //  - any observer on (tracer, profiler, latency, checker, trace-level
+  //    logging): observed runs are slower on the parallel engine than on
+  //    the serial one (EXPERIMENTS.md, "Parallel observability"), so the
+  //    observers record in event order on the serial core only;
   //  - oversubscription migrates threads through the shared scheduler
   //    queues mid-run and couples domains. With at most one thread per CPU
   //    those queues stay empty.
-  if (sim_.logger().level() != sim::LogLevel::None) return "trace-logging";
-  if (checker_ != nullptr && !checker_->wants_probe()) return "walker-only-checker";
+  if (observer_set() != "none") return "observers";
   if (nthreads > cfg_.num_cpus) return "oversubscribed";
   return nullptr;
 }
@@ -334,10 +310,7 @@ std::uint64_t System::run_parallel(sim::Cycle max_cycles) {
   pc.workers = cfg_.parallel_workers;
   sim::ParallelEngine engine(sim_, pc);
 
-  net_->enable_sharded_stats(map_.num_nodes());
-  sim_.tracer().begin_sharded(pc.domains);
-  sim_.profiler().begin_sharded(pc.domains);
-  sim_.latency().begin_sharded(pc.domains);
+  net_->enable_stat_shards(map_.num_nodes());
   gmn->set_cross_post([&engine](sim::NodeId src, sim::NodeId dst, sim::Cycle when,
                                 std::uint64_t seq, sim::EventQueue::Callback cb) {
     engine.post(src, dst, when, seq, std::move(cb));
@@ -374,9 +347,6 @@ std::uint64_t System::run_parallel(sim::Cycle max_cycles) {
   hb.stop();
   gmn->set_cross_post({});
   net_->finalize_stats();
-  sim_.tracer().finalize_sharded();
-  sim_.profiler().finalize_sharded();
-  sim_.latency().finalize_sharded();
   return events;
 }
 

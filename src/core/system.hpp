@@ -8,7 +8,6 @@
 #include "apps/workload.hpp"
 #include "cache/cache_node.hpp"
 #include "check/checker.hpp"
-#include "check/replay.hpp"
 #include "cpu/processor.hpp"
 #include "mem/address_map.hpp"
 #include "mem/bank.hpp"
@@ -101,11 +100,9 @@ struct SystemConfig {
   /// classic serial core. >1 = partition the platform's NoC nodes into this
   /// many domains (clamped to the node count) and run them on worker
   /// threads under the GMN min_latency lookahead. Requires network == kGmn.
-  /// Results are byte-identical to serial for any domain/worker count. The
-  /// observers are parallel-native — tracing, profiling and oracle-backed
-  /// coherence checking record into per-domain shards and merge
-  /// deterministically — so only trace-level logging, a walker-only
-  /// checker, or oversubscribed thread scheduling still fall back to the
+  /// Results are byte-identical to serial for any domain/worker count. A
+  /// run with any observer on (tracer, profiler, latency, checker or
+  /// trace-level logging) or with more threads than CPUs falls back to the
   /// serial engine (RunResult::engine_fallback names the reason).
   unsigned parallel_domains = 0;
   /// Worker threads for the parallel engine. 0 = one per domain, capped at
@@ -147,9 +144,8 @@ struct RunResult {
   unsigned engine_domains = 1;
   /// Engine actually used: "serial" or "parallel".
   std::string engine = "serial";
-  /// When a partitioned config still ran serial, the reason (e.g.
-  /// "trace-logging", "walker-only-checker", "oversubscribed"); empty
-  /// otherwise.
+  /// When a partitioned config still ran serial, the reason ("observers"
+  /// or "oversubscribed"); empty otherwise.
   std::string engine_fallback;
   /// Active observer set, comma-joined ("trace,profile,check"), or "none".
   std::string observers = "none";
@@ -238,9 +234,6 @@ class System {
   sim::Simulator sim_;
   mem::AddressMap map_;
   std::unique_ptr<check::Checker> checker_;  ///< built first: hooks are cached
-  /// Installed as the Simulator probe instead of the checker on partitioned
-  /// checked runs: records the probe stream, replayed before final_audit().
-  std::unique_ptr<check::ProbeRecorder> recorder_;
   std::unique_ptr<noc::Network> net_;
   std::vector<std::unique_ptr<mem::Bank>> banks_;
   std::vector<std::unique_ptr<mem::L2Bank>> l2_banks_;  ///< empty when flat

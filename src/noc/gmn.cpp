@@ -84,7 +84,7 @@ void GmnNetwork::egress(sim::Cycle flits, Packet&& pkt) {
   const sim::Cycle base = std::max(before, capacity);
   if (after > base) {
     const sim::Cycle excess = after - base;
-    if (sharded_stats()) {
+    if (stat_shards_on()) {
       dp.overflow += excess;
     } else {
       fifo_overflow_ctr_->inc(excess);
@@ -96,7 +96,7 @@ void GmnNetwork::egress(sim::Cycle flits, Packet&& pkt) {
 }
 
 void GmnNetwork::finalize_stats() {
-  if (sharded_stats() && !overflow_finalized_) {
+  if (stat_shards_on() && !overflow_finalized_) {
     overflow_finalized_ = true;
     for (const PortState& p : ports_) {
       if (p.overflow != 0) fifo_overflow_ctr_->inc(p.overflow);

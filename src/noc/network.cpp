@@ -41,7 +41,7 @@ void Network::attach(sim::NodeId id, Endpoint& ep) {
   endpoints_[id] = &ep;
 }
 
-void Network::enable_sharded_stats(std::size_t nodes) {
+void Network::enable_stat_shards(std::size_t nodes) {
   CCNOC_ASSERT(total_packets_ == 0, "sharded accounting enabled mid-run");
   shards_.assign(nodes, NodeShard{});
   stats_finalized_ = false;

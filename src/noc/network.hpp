@@ -55,14 +55,14 @@ class Network {
   /// finalize_stats() after the run. Totals and registry statistics come
   /// out byte-identical to the serial direct path — counters are exact and
   /// the latency sample adds whole cycles (sim::Sample::merge).
-  void enable_sharded_stats(std::size_t nodes);
+  void enable_stat_shards(std::size_t nodes);
 
   /// Fold the per-node shards (node order, so the fold is canonical) into
   /// the registry and the run totals. Idempotent; a no-op when sharding was
   /// never enabled.
   virtual void finalize_stats();
 
-  [[nodiscard]] bool sharded_stats() const { return !shards_.empty(); }
+  [[nodiscard]] bool stat_shards_on() const { return !shards_.empty(); }
 
   [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
   [[nodiscard]] std::uint64_t total_packets() const { return total_packets_; }

@@ -1,6 +1,7 @@
 #include "sim/jsonv.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -190,6 +191,34 @@ bool jsonv_parse_file(const std::string& path, Jsonv& out, std::string& err) {
   std::ostringstream ss;
   ss << f.rdbuf();
   return jsonv_parse(ss.str(), out, err);
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", unsigned(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string fmt_double(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  return buf;
 }
 
 }  // namespace ccnoc::sim

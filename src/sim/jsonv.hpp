@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,5 +34,18 @@ bool jsonv_parse(const std::string& text, Jsonv& out, std::string& err);
 
 // Convenience: slurp a file and parse it.
 bool jsonv_parse_file(const std::string& path, Jsonv& out, std::string& err);
+
+// --- writing ---------------------------------------------------------------
+// One escaper and one number format for the report emitters (trace, profile,
+// latency) and the model checkers.
+
+// Body of a JSON string literal for `s` (no surrounding quotes): quote,
+// backslash, \n and \t get their short escapes, every other byte below 0x20
+// becomes \u00XX, and bytes from 0x80 up pass through unchanged (UTF-8
+// stays UTF-8).
+std::string json_escape(std::string_view s);
+
+// `v` printed with "%.6g", the one format every report uses for doubles.
+std::string fmt_double(double v);
 
 }  // namespace ccnoc::sim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <tuple>
 
 namespace ccnoc::sim {
 
@@ -88,111 +87,15 @@ std::uint64_t LogHistogram::percentile(double p) const {
   return max_;
 }
 
-// --- sharded recording -------------------------------------------------------
-
-void LatencyObservatory::begin_sharded(unsigned domains) {
-  CCNOC_ASSERT(!sharded_, "latency sharding entered twice");
-  if (!on() || domains <= 1) return;
-  shards_.assign(domains, Shard{});
-  sharded_ = true;
-}
-
-void LatencyObservatory::record(NodeId node, Op op) {
-  Shard& sh = shards_[node % shards_.size()];
-  if (sh.node_seq.size() <= node) sh.node_seq.resize(node + 1, 0);
-  op.node = node;
-  op.seq = sh.node_seq[node]++;
-  sh.ops.push_back(op);
-}
-
-void LatencyObservatory::finalize_sharded() {
-  if (!sharded_) return;
-  sharded_ = false;
-
-  std::size_t total = 0;
-  for (const Shard& sh : shards_) total += sh.ops.size();
-  std::vector<Op> ops;
-  ops.reserve(total);
-  for (Shard& sh : shards_) {
-    ops.insert(ops.end(), sh.ops.begin(), sh.ops.end());
-  }
-  // (cycle, node, seq) is a total order: seq is per-node monotone, so no two
-  // records compare equal and the sort needs no stability.
-  std::sort(ops.begin(), ops.end(), [](const Op& x, const Op& y) {
-    return std::tie(x.cycle, x.node, x.seq) < std::tie(y.cycle, y.node, y.seq);
-  });
-  for (const Op& op : ops) {
-    switch (op.k) {
-      case Op::K::kBegin:
-        apply_begin(op.cycle, op.txn, op.kind, op.node);
-        break;
-      case Op::K::kMark:
-        apply_mark(op.txn, op.node, op.ph, op.boundary);
-        break;
-      case Op::K::kEnd:
-        apply_end(op.cycle, op.txn, op.node);
-        break;
-    }
-  }
-  shards_.clear();
-}
-
 // --- hook slow paths ---------------------------------------------------------
 
 void LatencyObservatory::begin_slow(Cycle now, std::uint64_t txn,
-                                    const char* kind, NodeId node) {
-  if (!on()) return;
-  if (sharded_) {
-    Op op;
-    op.cycle = now;
-    op.k = Op::K::kBegin;
-    op.txn = txn;
-    op.kind = kind;
-    record(node, op);
-    return;
-  }
-  apply_begin(now, txn, kind, node);
-}
-
-void LatencyObservatory::mark_slow(Cycle now, std::uint64_t txn, NodeId node,
-                                   Phase ph, Cycle boundary) {
-  if (!on()) return;
-  if (sharded_) {
-    Op op;
-    op.cycle = now;
-    op.k = Op::K::kMark;
-    op.txn = txn;
-    op.ph = ph;
-    op.boundary = boundary;
-    record(node, op);
-    return;
-  }
-  apply_mark(txn, node, ph, boundary);
-}
-
-void LatencyObservatory::end_slow(Cycle now, std::uint64_t txn, NodeId node) {
-  if (!on()) return;
-  if (sharded_) {
-    Op op;
-    op.cycle = now;
-    op.k = Op::K::kEnd;
-    op.txn = txn;
-    record(node, op);
-    return;
-  }
-  apply_end(now, txn, node);
-}
-
-// --- direct-apply paths ------------------------------------------------------
-
-void LatencyObservatory::apply_begin(Cycle now, std::uint64_t txn,
-                                     const char* kind, NodeId node) {
-  (void)node;
+                                    const char* kind, NodeId /*node*/) {
   open_.emplace(txn, OpenTxn{kind, now, now, {}});
 }
 
-void LatencyObservatory::apply_mark(std::uint64_t txn, NodeId node, Phase ph,
-                                    Cycle boundary) {
+void LatencyObservatory::mark_slow(Cycle /*now*/, std::uint64_t txn, NodeId node,
+                                   Phase ph, Cycle boundary) {
   auto it = open_.find(txn);
   if (it == open_.end()) return;  // opened before the observatory was enabled
   OpenTxn& t = it->second;
@@ -206,7 +109,7 @@ void LatencyObservatory::apply_mark(std::uint64_t txn, NodeId node, Phase ph,
   if (dur != 0) node_phases_[node][std::size_t(ph)] += dur;
 }
 
-void LatencyObservatory::apply_end(Cycle now, std::uint64_t txn, NodeId node) {
+void LatencyObservatory::end_slow(Cycle now, std::uint64_t txn, NodeId node) {
   auto it = open_.find(txn);
   if (it == open_.end()) return;
   OpenTxn t = it->second;

@@ -30,14 +30,12 @@
 /// and a bounded top-K table keeps the slowest transactions with their full
 /// phase breakdown and replayable txn ids.
 ///
-/// Cost model and parallel story mirror sim::Tracer exactly: every hook is
-/// one predicted branch on a cached pointer when off; under the parallel
-/// engine hooks append order-stamped records — (cycle, recording node,
-/// per-node seq) — to per-domain shards, and finalize_sharded() sorts the
-/// merged stream and replays it through the serial apply paths, so
-/// latency.json is byte-identical between engines. Marks for unknown txn
-/// ids are silent no-ops (same contract as tracer notes), and boundaries
-/// are clamped monotone so attribution never goes negative.
+/// Cost model mirrors sim::Tracer exactly: every hook is one predicted
+/// branch on a cached pointer when off. Runs with the observatory on take
+/// the serial engine (core::System falls back whenever an observer is on),
+/// so hooks update the tables directly, in event order. Marks for unknown
+/// txn ids are silent no-ops (same contract as tracer notes), and
+/// boundaries are clamped monotone so attribution never goes negative.
 
 namespace ccnoc::sim {
 
@@ -110,8 +108,8 @@ class LatencyObservatory {
 
   // --- transaction lifecycle hooks ------------------------------------------
   //
-  // `node` is always the NoC node whose event is executing the call — the
-  // sharding/order key. Kinds are static strings (same contract as the
+  // `node` is always the NoC node whose event is executing the call; phase
+  // sums are attributed to it. Kinds are static strings (same contract as the
   // tracer). A mark attributes [last, max(boundary, last)] to `ph` and
   // advances the boundary; marks and ends for unknown txns are no-ops.
 
@@ -125,12 +123,6 @@ class LatencyObservatory {
   void txn_end(Cycle now, std::uint64_t txn, NodeId node) {
     if (on()) [[unlikely]] end_slow(now, txn, node);
   }
-
-  // --- parallel-engine sharding ---------------------------------------------
-  // Same contract as Tracer::begin_sharded/finalize_sharded.
-  void begin_sharded(unsigned domains);
-  void finalize_sharded();
-  [[nodiscard]] bool sharded() const { return sharded_; }
 
   // --- inspection -----------------------------------------------------------
 
@@ -181,31 +173,6 @@ class LatencyObservatory {
     PhaseCycles phases{};
   };
 
-  /// One sharded hook record; the merged stream sorts by (cycle, node, seq)
-  /// and replays through the serial apply paths.
-  struct Op {
-    enum class K : std::uint8_t { kBegin, kMark, kEnd };
-    Cycle cycle = 0;         ///< primary order key
-    std::uint64_t seq = 0;   ///< per-node record sequence (tertiary key)
-    std::uint64_t txn = 0;
-    Cycle boundary = 0;
-    const char* kind = nullptr;
-    NodeId node = 0;         ///< recording node (secondary key)
-    K k{};
-    Phase ph{};
-  };
-  struct alignas(64) Shard {
-    std::vector<Op> ops;
-    std::vector<std::uint64_t> node_seq;
-  };
-
-  void record(NodeId node, Op op);
-
-  // Direct-apply paths, shared between the serial engine and the replay.
-  void apply_begin(Cycle now, std::uint64_t txn, const char* kind, NodeId node);
-  void apply_mark(std::uint64_t txn, NodeId node, Phase ph, Cycle boundary);
-  void apply_end(Cycle now, std::uint64_t txn, NodeId node);
-
   void note_offender(std::uint64_t txn, const OpenTxn& t, Cycle end);
 
   LatencyMode mode_ = LatencyMode::kOff;
@@ -215,16 +182,14 @@ class LatencyObservatory {
   std::map<std::string, KindStats> kinds_;
   std::map<NodeId, PhaseCycles> node_phases_;
   std::vector<Offender> worst_;
-
-  bool sharded_ = false;
-  std::vector<Shard> shards_;
 };
 
 // --- report emitters (latency_report.cpp) ----------------------------------
 // Deterministic schema-v1 JSON: per-kind HDR percentiles + phase breakdown +
 // dominant phase, per-node phase sums, the top-K worst-offender table and a
 // whole-run critical-path summary. Contains no engine/run metadata by
-// design — serial and parallel runs of one platform emit identical bytes.
+// design — runs of one platform emit identical bytes whatever their
+// domain count.
 std::string latency_json(const LatencyObservatory& lat);
 bool write_latency_json(const std::string& path, const LatencyObservatory& lat);
 

@@ -1,24 +1,18 @@
 #include <cstdio>
 #include <sstream>
 
+#include "sim/jsonv.hpp"
 #include "sim/latency.hpp"
 
 /// \file latency_report.cpp
 /// Deterministic schema-v1 JSON emitter for the latency observatory.
-/// Contains no run/engine metadata on purpose: serial and parallel runs of
-/// the same platform must emit byte-identical latency.json (the
-/// ParallelEquivalence suite pins this), so everything here is a pure
-/// function of the merged observatory state.
+/// Contains no run/engine metadata on purpose: runs of the same platform
+/// emit byte-identical latency.json whatever their domain count, so
+/// everything here is a pure function of the observatory state.
 
 namespace ccnoc::sim {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
 
 void emit_phases(std::ostringstream& os, const PhaseCycles& ph) {
   os << "{";

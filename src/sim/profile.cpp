@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <tuple>
 
 namespace ccnoc::sim {
 
@@ -100,106 +99,10 @@ void Profiler::fold_epoch(LineState& l) {
   l.epoch_writers = 0;
 }
 
-// --- sharded recording -------------------------------------------------
-
-void Profiler::record(NodeId node, Op op) {
-  Shard& sh = shards_[node % shards_.size()];
-  if (sh.node_seq.size() <= node)
-    sh.node_seq.resize(std::size_t(node) + 1, 0);
-  op.node = node;
-  op.seq = sh.node_seq[node]++;
-  sh.ops.push_back(op);
-}
-
-void Profiler::begin_sharded(unsigned domains) {
-  CCNOC_ASSERT(!sharded_, "profiler sharding re-entered without finalize");
-  if (!on() || domains <= 1) return;
-  shards_.assign(domains, Shard{});
-  for (Shard& sh : shards_) sh.link_flits.assign(links_.size(), 0);
-  sharded_ = true;
-}
-
-void Profiler::finalize_sharded() {
-  if (!sharded_) return;
-  sharded_ = false;
-  std::size_t total = 0;
-  for (const Shard& sh : shards_) total += sh.ops.size();
-  std::vector<Op> merged;
-  merged.reserve(total);
-  for (Shard& sh : shards_) {
-    merged.insert(merged.end(), sh.ops.begin(), sh.ops.end());
-    sh.ops.clear();
-  }
-  // (cycle, node, seq) is a total order over the merged records — one
-  // worker owns each node, so per-node seq breaks every remaining tie —
-  // and it is the canonical serial order: cross-node same-cycle folds are
-  // commutative, so replay lands on the exact serial profiler state.
-  std::sort(merged.begin(), merged.end(), [](const Op& a, const Op& b) {
-    return std::tie(a.cycle, a.node, a.seq) < std::tie(b.cycle, b.node, b.seq);
-  });
-  for (const Op& op : merged) {
-    switch (op.k) {
-      case Op::K::kAccess:
-        apply_access(op.cycle, op.node, op.addr, op.x, op.cls);
-        break;
-      case Op::K::kMiss:
-        apply_miss(op.cycle, op.node, op.addr);
-        break;
-      case Op::K::kInvalRecv:
-        apply_invalidate_recv(op.cycle, op.node, op.addr, op.flag);
-        break;
-      case Op::K::kUpdateRecv:
-        apply_update_recv(op.cycle, op.addr);
-        break;
-      case Op::K::kWbufStall:
-        apply_wbuf_stall(op.cycle, op.addr);
-        break;
-      case Op::K::kFanout:
-        apply_fanout(op.cycle, op.addr, op.x);
-        break;
-      case Op::K::kDirWidth:
-        apply_dir_width(op.addr, op.x);
-        break;
-      case Op::K::kBankEnq:
-        apply_bank_enqueue(op.cycle, op.x, op.addr, std::size_t(op.a));
-        break;
-      case Op::K::kBankDeq:
-        apply_bank_dequeue(op.cycle, op.x, op.addr, std::size_t(op.a));
-        break;
-      case Op::K::kStall:
-        apply_stall(op.cycle, op.addr, Cycle(op.a), op.cls);
-        break;
-      case Op::K::kTraffic:
-        apply_traffic(op.addr, op.x);
-        break;
-    }
-  }
-  for (const Shard& sh : shards_)
-    for (std::size_t i = 0; i < sh.link_flits.size(); ++i)
-      links_[i].flits += sh.link_flits[i];
-  shards_.clear();
-  shards_.shrink_to_fit();
-}
-
 // --- hook slow paths ---------------------------------------------------
 
 void Profiler::access_slow(Cycle now, unsigned cpu, Addr addr, unsigned size,
                            AccessClass cls) {
-  if (sharded_) {
-    Op op;
-    op.k = Op::K::kAccess;
-    op.cycle = now;
-    op.addr = addr;
-    op.x = size;
-    op.cls = cls;
-    record(NodeId(cpu), op);
-    return;
-  }
-  apply_access(now, cpu, addr, size, cls);
-}
-
-void Profiler::apply_access(Cycle now, unsigned cpu, Addr addr, unsigned size,
-                            AccessClass cls) {
   LineState& l = line(addr);
   touch_epoch(l, now);
   const std::uint64_t bit = 1ull << (cpu & 63);
@@ -232,18 +135,6 @@ void Profiler::apply_access(Cycle now, unsigned cpu, Addr addr, unsigned size,
 }
 
 void Profiler::miss_slow(Cycle now, unsigned cpu, Addr addr) {
-  if (sharded_) {
-    Op op;
-    op.k = Op::K::kMiss;
-    op.cycle = now;
-    op.addr = addr;
-    record(NodeId(cpu), op);
-    return;
-  }
-  apply_miss(now, cpu, addr);
-}
-
-void Profiler::apply_miss(Cycle now, unsigned cpu, Addr addr) {
   LineState& l = line(addr);
   touch_epoch(l, now);
   ++l.misses;
@@ -258,77 +149,26 @@ void Profiler::apply_miss(Cycle now, unsigned cpu, Addr addr) {
 
 void Profiler::invalidate_recv_slow(Cycle now, unsigned cpu, Addr addr,
                                     bool had_copy) {
-  if (sharded_) {
-    Op op;
-    op.k = Op::K::kInvalRecv;
-    op.cycle = now;
-    op.addr = addr;
-    op.flag = had_copy;
-    record(NodeId(cpu), op);
-    return;
-  }
-  apply_invalidate_recv(now, cpu, addr, had_copy);
-}
-
-void Profiler::apply_invalidate_recv(Cycle now, unsigned cpu, Addr addr,
-                                     bool had_copy) {
   LineState& l = line(addr);
   touch_epoch(l, now);
   ++l.invalidations;
   if (had_copy) l.inval_pending |= 1ull << (cpu & 63);
 }
 
-void Profiler::update_recv_slow(Cycle now, unsigned cpu, Addr addr) {
-  if (sharded_) {
-    Op op;
-    op.k = Op::K::kUpdateRecv;
-    op.cycle = now;
-    op.addr = addr;
-    record(NodeId(cpu), op);
-    return;
-  }
-  apply_update_recv(now, addr);
-}
-
-void Profiler::apply_update_recv(Cycle now, Addr addr) {
+void Profiler::update_recv_slow(Cycle now, unsigned /*cpu*/, Addr addr) {
   LineState& l = line(addr);
   touch_epoch(l, now);
   ++l.updates;
 }
 
-void Profiler::wbuf_stall_slow(Cycle now, unsigned cpu, Addr addr) {
-  if (sharded_) {
-    Op op;
-    op.k = Op::K::kWbufStall;
-    op.cycle = now;
-    op.addr = addr;
-    record(NodeId(cpu), op);
-    return;
-  }
-  apply_wbuf_stall(now, addr);
-}
-
-void Profiler::apply_wbuf_stall(Cycle now, Addr addr) {
+void Profiler::wbuf_stall_slow(Cycle now, unsigned /*cpu*/, Addr addr) {
   LineState& l = line(addr);
   touch_epoch(l, now);
   ++l.wbuf_stalls;
 }
 
-void Profiler::fanout_slow(Cycle now, NodeId node, Addr addr,
+void Profiler::fanout_slow(Cycle now, NodeId /*node*/, Addr addr,
                            unsigned targets) {
-  if (sharded_) {
-    Op op;
-    op.k = Op::K::kFanout;
-    op.cycle = now;
-    op.addr = addr;
-    op.x = targets;
-    record(node, op);
-    return;
-  }
-  apply_fanout(now, addr, targets);
-}
-
-void Profiler::apply_fanout(Cycle now, Addr addr, unsigned targets) {
   LineState& l = line(addr);
   touch_epoch(l, now);
   ++l.fanout_rounds;
@@ -336,52 +176,23 @@ void Profiler::apply_fanout(Cycle now, Addr addr, unsigned targets) {
   l.fanout_max = std::max<std::uint64_t>(l.fanout_max, targets);
 }
 
-void Profiler::dir_width_slow(NodeId node, Addr addr, unsigned sharers) {
-  if (sharded_) {
-    // The directory has no clock; cycle-0 records sort ahead of everything,
-    // which is sound because the only state touched is a running maximum.
-    Op op;
-    op.k = Op::K::kDirWidth;
-    op.addr = addr;
-    op.x = sharers;
-    record(node, op);
-    return;
-  }
-  apply_dir_width(addr, sharers);
-}
-
-void Profiler::apply_dir_width(Addr addr, unsigned sharers) {
+void Profiler::dir_width_slow(NodeId /*node*/, Addr addr, unsigned sharers) {
   LineState& l = line(addr);
   l.dir_max_sharers = std::max(l.dir_max_sharers, sharers);
 }
 
-unsigned Profiler::register_bank(std::string name, NodeId node, unsigned level) {
+unsigned Profiler::register_bank(std::string name, NodeId /*node*/,
+                                 unsigned level) {
   if (!on()) return kInvalidId;
   banks_.push_back(BankState{});
   banks_.back().name = std::move(name);
   banks_.back().level = level;
-  bank_nodes_.push_back(node);
   return unsigned(banks_.size() - 1);
 }
 
 void Profiler::bank_enqueue_slow(Cycle now, unsigned bank, Addr addr,
                                  std::size_t depth) {
   if (bank >= banks_.size()) return;
-  if (sharded_) {
-    Op op;
-    op.k = Op::K::kBankEnq;
-    op.cycle = now;
-    op.addr = addr;
-    op.a = depth;
-    op.x = bank;
-    record(bank_nodes_[bank], op);
-    return;
-  }
-  apply_bank_enqueue(now, bank, addr, depth);
-}
-
-void Profiler::apply_bank_enqueue(Cycle now, unsigned bank, Addr addr,
-                                  std::size_t depth) {
   BankState& b = banks_[bank];
   // Close the previous constant-depth interval: the queue held depth-1
   // requests from last_change until now (this request just joined).
@@ -403,21 +214,6 @@ void Profiler::apply_bank_enqueue(Cycle now, unsigned bank, Addr addr,
 void Profiler::bank_dequeue_slow(Cycle now, unsigned bank, Addr addr,
                                  std::size_t depth) {
   if (bank >= banks_.size()) return;
-  if (sharded_) {
-    Op op;
-    op.k = Op::K::kBankDeq;
-    op.cycle = now;
-    op.addr = addr;
-    op.a = depth;
-    op.x = bank;
-    record(bank_nodes_[bank], op);
-    return;
-  }
-  apply_bank_dequeue(now, bank, addr, depth);
-}
-
-void Profiler::apply_bank_dequeue(Cycle now, unsigned bank, Addr addr,
-                                  std::size_t depth) {
   BankState& b = banks_[bank];
   b.occupancy_integral += std::uint64_t(depth + 1) * (now - b.last_change);
   b.last_change = now;
@@ -439,43 +235,16 @@ void Profiler::apply_bank_dequeue(Cycle now, unsigned bank, Addr addr,
   l.bank_wait_cycles += wait;
 }
 
-void Profiler::stall_slow(Cycle now, unsigned cpu, Addr addr, Cycle cycles,
+void Profiler::stall_slow(Cycle now, unsigned /*cpu*/, Addr addr, Cycle cycles,
                           AccessClass cls) {
-  if (sharded_) {
-    Op op;
-    op.k = Op::K::kStall;
-    op.cycle = now;
-    op.addr = addr;
-    op.a = cycles;
-    op.cls = cls;
-    record(NodeId(cpu), op);
-    return;
-  }
-  apply_stall(now, addr, cycles, cls);
-}
-
-void Profiler::apply_stall(Cycle now, Addr addr, Cycle cycles,
-                           AccessClass cls) {
   LineState& l = line(addr);
   touch_epoch(l, now);
   l.stall_cycles += cycles;
   stalls_by_class_[unsigned(cls) & 3] += cycles;
 }
 
-void Profiler::traffic_slow(Cycle now, NodeId src, Addr addr, unsigned bytes) {
-  if (sharded_) {
-    Op op;
-    op.k = Op::K::kTraffic;
-    op.cycle = now;
-    op.addr = addr;
-    op.x = bytes;
-    record(src, op);
-    return;
-  }
-  apply_traffic(addr, bytes);
-}
-
-void Profiler::apply_traffic(Addr addr, unsigned bytes) {
+void Profiler::traffic_slow(Cycle /*now*/, NodeId /*src*/, Addr addr,
+                            unsigned bytes) {
   LineState& l = line(addr);
   l.traffic_bytes += bytes;
   ++l.packets;
@@ -491,12 +260,6 @@ unsigned Profiler::register_link(std::string name) {
 
 void Profiler::link_flits_slow(unsigned link, std::uint64_t flits) {
   if (link >= links_.size()) return;
-  if (sharded_) {
-    // Pure per-link sums: accumulate in the executing domain's shard and
-    // fold elementwise at finalize — no record stream needed.
-    shards_[link % shards_.size()].link_flits[link] += flits;
-    return;
-  }
   links_[link].flits += flits;
 }
 
@@ -524,8 +287,6 @@ SharingPattern Profiler::classify(const LineState& l) const {
 }
 
 ProfileSnapshot Profiler::snapshot(std::string label) const {
-  CCNOC_ASSERT(!sharded_,
-               "snapshot while sharded: finalize_sharded() must run first");
   ProfileSnapshot s;
   s.label = std::move(label);
   s.block_bytes = block_bytes_;
@@ -568,8 +329,8 @@ ProfileSnapshot Profiler::snapshot(std::string label) const {
     line_packets += out.packets;
     s.lines.push_back(out);
   }
-  // Per-line traffic attribution must reconcile exactly with the totals in
-  // both engines: every accepted packet lands on exactly one block.
+  // Per-line traffic attribution must reconcile exactly with the totals:
+  // every accepted packet lands on exactly one block.
   CCNOC_ASSERT(line_bytes == total_traffic_bytes_ &&
                    line_packets == total_packets_,
                "per-line traffic must sum to the NoC totals");

@@ -26,16 +26,10 @@ namespace ccnoc::sim {
 // and never re-check availability. The mode must be set before components
 // are built (System does this) so registration hooks see the final mode.
 //
-// Parallel runs: like the tracer, the profiler is parallel-native. Every
-// hook names (directly or via a registered bank/link) the NoC node whose
-// event is executing; under the parallel engine the hook appends a compact
-// record to that node's domain shard, stamped (cycle, node, per-node seq),
-// and finalize_sharded() replays the sorted stream through the serial
-// accounting. The canonical replay order reproduces the serial profiler
-// state exactly: every cross-node same-cycle fold is commutative (sums,
-// OR-masks, maxima), per-CPU causal chains (invalidate → re-miss ping-pong
-// accounting) are keyed by the CPU that owns the node, and per-bank FIFOs
-// are fed only from the bank's own node.
+// Every hook names (directly or via a registered bank/link) the NoC node
+// whose event is executing. Runs with the profiler on take the serial
+// engine (core::System falls back whenever an observer is on), so hooks
+// update the accounting directly, in event order.
 enum class ProfileMode : std::uint8_t {
   kOff = 0,  // hooks compile to a single predicted branch; zero allocations
   kOn = 1,   // full per-line accounting
@@ -151,7 +145,7 @@ class Profiler {
   // --- cache-side hooks -----------------------------------------------
   // `cpu` doubles as the recording NoC node: CPU i's cache controllers live
   // on NoC node i, and every one of these hooks executes in that node's
-  // event, which is what makes the sharded recording single-writer.
+  // event.
   // Demand access as seen at the L1 (hit or miss), before any state change.
   void access(Cycle now, unsigned cpu, Addr addr, unsigned size,
               AccessClass cls) {
@@ -176,17 +170,17 @@ class Profiler {
 
   // --- directory / bank hooks -----------------------------------------
   // One invalidation/update round sent to `targets` sharers by the bank on
-  // NoC node `node` (the recording/order key).
+  // NoC node `node`.
   void fanout(Cycle now, NodeId node, Addr addr, unsigned targets) {
     if (on()) [[unlikely]] fanout_slow(now, node, addr, targets);
   }
   // Sharer-set width observed by the directory after an insert; `node` is
-  // the directory's bank node. The directory has no clock, so these record
-  // at cycle 0 — sound because the only state they touch is a maximum.
+  // the directory's bank node. The directory has no clock; the only state
+  // this touches is a maximum, so no cycle is needed.
   void dir_width(NodeId node, Addr addr, unsigned sharers) {
     if (on()) [[unlikely]] dir_width_slow(node, addr, sharers);
   }
-  // `node` is the bank's NoC node; the queue hooks shard and order by it.
+  // `node` is the bank's NoC node.
   // `level` attributes the queue to a hierarchy tier in the report
   // (0 = memory, 1 = shared L2), so two-level runs can tell which tier a
   // hot queue belongs to.
@@ -215,14 +209,6 @@ class Profiler {
   void link_flits(unsigned link, std::uint64_t flits) {
     if (on()) [[unlikely]] link_flits_slow(link, flits);
   }
-
-  // --- parallel-engine sharding ----------------------------------------
-  // Same contract as Tracer::begin_sharded/finalize_sharded: enter sharded
-  // recording right before the parallel engine starts, merge-and-replay
-  // right after it drains.
-  void begin_sharded(unsigned domains);
-  void finalize_sharded();
-  [[nodiscard]] bool sharded() const { return sharded_; }
 
   // --- inspection -------------------------------------------------------
   [[nodiscard]] std::size_t line_count() const { return lines_.size(); }
@@ -268,29 +254,6 @@ class Profiler {
     std::uint64_t flits = 0;
   };
 
-  /// One sharded hook record; the merged stream sorts by (cycle, node, seq)
-  /// and replays through the serial slow paths.
-  struct Op {
-    enum class K : std::uint8_t {
-      kAccess, kMiss, kInvalRecv, kUpdateRecv, kWbufStall,
-      kFanout, kDirWidth, kBankEnq, kBankDeq, kStall, kTraffic,
-    };
-    Cycle cycle = 0;        ///< primary order key
-    std::uint64_t seq = 0;  ///< per-node record sequence (tertiary key)
-    Addr addr = 0;
-    std::uint64_t a = 0;    ///< stall cycles / queue depth
-    NodeId node = 0;        ///< recording node (secondary key); cpu for CPU hooks
-    std::uint32_t x = 0;    ///< size / targets / sharers / bank id / bytes
-    K k{};
-    AccessClass cls = AccessClass::kLoad;
-    bool flag = false;      ///< invalidate_recv had_copy
-  };
-  struct alignas(64) Shard {
-    std::vector<Op> ops;
-    std::vector<std::uint64_t> node_seq;
-    std::vector<std::uint64_t> link_flits;  ///< pure sums; folded elementwise
-  };
-
   __attribute__((cold)) void access_slow(Cycle now, unsigned cpu, Addr addr,
                                          unsigned size, AccessClass cls);
   __attribute__((cold)) void miss_slow(Cycle now, unsigned cpu, Addr addr);
@@ -315,22 +278,6 @@ class Profiler {
   __attribute__((cold)) void link_flits_slow(unsigned link,
                                              std::uint64_t flits);
 
-  void record(NodeId node, Op op);
-
-  // Direct accounting, shared between the serial path and the replay.
-  void apply_access(Cycle now, unsigned cpu, Addr addr, unsigned size,
-                    AccessClass cls);
-  void apply_miss(Cycle now, unsigned cpu, Addr addr);
-  void apply_invalidate_recv(Cycle now, unsigned cpu, Addr addr, bool had_copy);
-  void apply_update_recv(Cycle now, Addr addr);
-  void apply_wbuf_stall(Cycle now, Addr addr);
-  void apply_fanout(Cycle now, Addr addr, unsigned targets);
-  void apply_dir_width(Addr addr, unsigned sharers);
-  void apply_bank_enqueue(Cycle now, unsigned bank, Addr addr, std::size_t depth);
-  void apply_bank_dequeue(Cycle now, unsigned bank, Addr addr, std::size_t depth);
-  void apply_stall(Cycle now, Addr addr, Cycle cycles, AccessClass cls);
-  void apply_traffic(Addr addr, unsigned bytes);
-
   LineState& line(Addr addr) { return lines_[block_of(addr)]; }
   void touch_epoch(LineState& l, Cycle now) const;
   static void fold_epoch(LineState& l);
@@ -342,13 +289,9 @@ class Profiler {
   unsigned word_slots_ = 8;
   std::unordered_map<Addr, LineState> lines_;
   std::vector<BankState> banks_;
-  std::vector<NodeId> bank_nodes_;  ///< owner NoC node per registered bank
   std::vector<LinkState> links_;
   std::array<std::uint64_t, 4> stalls_by_class_{};
   std::uint64_t total_traffic_bytes_ = 0, total_packets_ = 0;
-
-  bool sharded_ = false;
-  std::vector<Shard> shards_;
 };
 
 // --- report emitters (profile_report.cpp) ------------------------------

@@ -6,32 +6,12 @@
 #include <map>
 #include <sstream>
 
+#include "sim/jsonv.hpp"
 #include "sim/profile.hpp"
 
 namespace ccnoc::sim {
 
 namespace {
-
-void json_escape(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void hex_block(std::ostringstream& os, Addr block) {
   char buf[24];
@@ -222,9 +202,8 @@ void emit_bank_table(std::ostringstream& os, const ProfileSnapshot& s) {
 
 std::string profile_json(const ProfileSnapshot& s, std::size_t top_n) {
   std::ostringstream os;
-  os << "{\n\"schema_version\":1,\n\"kind\":\"ccnoc-profile\",\n\"label\":";
-  json_escape(os, s.label);
-  os << ",\n\"block_bytes\":" << s.block_bytes
+  os << "{\n\"schema_version\":1,\n\"kind\":\"ccnoc-profile\",\n\"label\":\""
+     << json_escape(s.label) << "\",\n\"block_bytes\":" << s.block_bytes
      << ",\n\"epoch_cycles\":" << s.epoch_cycles << ",\n\"totals\":{"
      << "\"lines\":" << s.lines.size()
      << ",\"traffic_bytes\":" << s.total_traffic_bytes
@@ -262,9 +241,8 @@ std::string profile_json(const ProfileSnapshot& s, std::size_t top_n) {
   for (const auto& b : s.banks) {
     if (!first) os << ',';
     first = false;
-    os << "\n{\"name\":";
-    json_escape(os, b.name);
-    os << ",\"level\":" << b.level << ",\"conflicts\":" << b.conflicts
+    os << "\n{\"name\":\"" << json_escape(b.name) << "\",\"level\":" << b.level
+       << ",\"conflicts\":" << b.conflicts
        << ",\"wait_cycles\":" << b.wait_cycles
        << ",\"occupancy_integral\":" << b.occupancy_integral
        << ",\"max_depth\":" << b.max_depth << ",\"max_depth_per_epoch\":[";
@@ -279,9 +257,8 @@ std::string profile_json(const ProfileSnapshot& s, std::size_t top_n) {
   for (const auto& lk : s.links) {
     if (!first) os << ',';
     first = false;
-    os << "\n{\"name\":";
-    json_escape(os, lk.name);
-    os << ",\"flits\":" << lk.flits << '}';
+    os << "\n{\"name\":\"" << json_escape(lk.name) << "\",\"flits\":" << lk.flits
+       << '}';
   }
   os << "]\n}\n";
   return os.str();

@@ -6,101 +6,9 @@
 #include <sstream>
 #include <tuple>
 
+#include "sim/jsonv.hpp"
+
 namespace ccnoc::sim {
-
-namespace {
-
-/// Fixed-notation double formatting so report output is byte-identical
-/// across runs and platforms (no locale, no %g exponent edge cases).
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-}  // namespace
-
-// --- sharded recording -------------------------------------------------------
-
-void Tracer::begin_sharded(unsigned domains) {
-  CCNOC_ASSERT(!sharded_, "tracer sharding entered twice");
-  if (!on() || domains <= 1) return;
-  shards_.assign(domains, Shard{});
-  for (Shard& sh : shards_) {
-    sh.link_flits.resize(links_.size());
-  }
-  sharded_ = true;
-}
-
-void Tracer::record(NodeId node, Op op) {
-  Shard& sh = shards_[node % shards_.size()];
-  if (sh.node_seq.size() <= node) sh.node_seq.resize(node + 1, 0);
-  op.node = node;
-  op.seq = sh.node_seq[node]++;
-  sh.ops.push_back(op);
-}
-
-void Tracer::finalize_sharded() {
-  if (!sharded_) return;
-  sharded_ = false;
-
-  std::size_t total = 0;
-  for (const Shard& sh : shards_) total += sh.ops.size();
-  std::vector<Op> ops;
-  ops.reserve(total);
-  for (Shard& sh : shards_) {
-    ops.insert(ops.end(), sh.ops.begin(), sh.ops.end());
-  }
-  // (cycle, node, seq) is a total order: seq is per-node monotone, so no two
-  // records compare equal and the sort needs no stability.
-  std::sort(ops.begin(), ops.end(), [](const Op& x, const Op& y) {
-    return std::tie(x.cycle, x.node, x.seq) < std::tie(y.cycle, y.node, y.seq);
-  });
-  for (const Op& op : ops) {
-    switch (op.k) {
-      case Op::K::kTxnBegin:
-        apply_txn_begin(op.cycle, op.id, op.name, op.node, op.tid, Addr(op.a));
-        break;
-      case Op::K::kTxnNote:
-        apply_txn_note(op.cycle, op.id, op.node, op.name, op.an0, op.a, op.an1, op.b);
-        break;
-      case Op::K::kTxnEnd:
-        apply_txn_end(op.cycle, op.id, op.node, unsigned(op.a));
-        break;
-      case Op::K::kComplete:
-        apply_complete(op.cycle, Cycle(op.a), op.node, op.name, op.pid, op.tid);
-        break;
-      case Op::K::kInstant:
-        apply_instant(op.cycle, op.node, op.name, op.pid, op.tid, op.an0, op.a);
-        break;
-      case Op::K::kCounter:
-        apply_counter(op.cycle, op.node, op.name, op.pid, op.tid, op.a);
-        break;
-      case Op::K::kBankDepth:
-        apply_bank_depth(op.cycle, unsigned(op.id), std::size_t(op.a));
-        break;
-    }
-  }
-
-  // Scalar accumulators fold in domain order; every one is a plain sum, so
-  // the fold order cannot matter — the fixed order is for determinism of
-  // any future non-commutative addition.
-  for (const Shard& sh : shards_) {
-    if (stalls_.size() < sh.stalls.size()) stalls_.resize(sh.stalls.size());
-    for (std::size_t c = 0; c < sh.stalls.size(); ++c) {
-      for (std::size_t i = 0; i < kNumStallCats; ++i) {
-        stalls_[c].cycles[i] += sh.stalls[c].cycles[i];
-      }
-    }
-    for (std::size_t l = 0; l < sh.link_flits.size(); ++l) {
-      const auto& src = sh.link_flits[l];
-      auto& dst = links_[l].flits_per_epoch;
-      if (dst.size() < src.size()) dst.resize(src.size(), 0);
-      for (std::size_t e = 0; e < src.size(); ++e) dst[e] += src[e];
-    }
-  }
-  shards_.clear();
-}
 
 void Tracer::set_run_context(std::string engine, unsigned domains,
                              std::string fallback_reason, std::string observers) {
@@ -123,23 +31,6 @@ void Tracer::push_event(NodeId node, Event e) {
 
 void Tracer::txn_begin_slow(Cycle now, std::uint64_t txn, const char* kind,
                             NodeId node, std::uint32_t tid, Addr addr) {
-  if (!on()) return;
-  if (sharded_) {
-    Op op;
-    op.cycle = now;
-    op.k = Op::K::kTxnBegin;
-    op.id = txn;
-    op.name = kind;
-    op.tid = tid;
-    op.a = addr;
-    record(node, op);
-    return;
-  }
-  apply_txn_begin(now, txn, kind, node, tid, addr);
-}
-
-void Tracer::apply_txn_begin(Cycle now, std::uint64_t txn, const char* kind,
-                             NodeId node, std::uint32_t tid, Addr addr) {
   open_.emplace(txn, OpenSpan{kind, now});
   if (!full()) return;
   Event e;
@@ -158,26 +49,6 @@ void Tracer::txn_note_slow(Cycle now, std::uint64_t txn, NodeId node,
                            const char* what, const char* arg_name,
                            std::uint64_t arg, const char* arg_name2,
                            std::uint64_t arg2) {
-  if (!full()) return;
-  if (sharded_) {
-    Op op;
-    op.cycle = now;
-    op.k = Op::K::kTxnNote;
-    op.id = txn;
-    op.name = what;
-    op.an0 = arg_name;
-    op.a = arg;
-    op.an1 = arg_name2;
-    op.b = arg2;
-    record(node, op);
-    return;
-  }
-  apply_txn_note(now, txn, node, what, arg_name, arg, arg_name2, arg2);
-}
-
-void Tracer::apply_txn_note(Cycle now, std::uint64_t txn, NodeId node,
-                            const char* what, const char* an0, std::uint64_t a,
-                            const char* an1, std::uint64_t b) {
   Event e;
   e.ts = now;
   e.id = txn;
@@ -185,28 +56,14 @@ void Tracer::apply_txn_note(Cycle now, std::uint64_t txn, NodeId node,
   e.ph = 'n';
   e.pid = kPidCache;
   e.tid = 0;
-  e.arg_names[0] = an0;
-  e.args[0] = a;
-  e.arg_names[1] = an1;
-  e.args[1] = b;
+  e.arg_names[0] = arg_name;
+  e.args[0] = arg;
+  e.arg_names[1] = arg_name2;
+  e.args[1] = arg2;
   push_event(node, e);
 }
 
 void Tracer::txn_end_slow(Cycle now, std::uint64_t txn, NodeId node, unsigned hops) {
-  if (!on()) return;
-  if (sharded_) {
-    Op op;
-    op.cycle = now;
-    op.k = Op::K::kTxnEnd;
-    op.id = txn;
-    op.a = hops;
-    record(node, op);
-    return;
-  }
-  apply_txn_end(now, txn, node, hops);
-}
-
-void Tracer::apply_txn_end(Cycle now, std::uint64_t txn, NodeId node, unsigned hops) {
   auto it = open_.find(txn);
   if (it == open_.end()) return;  // span was opened before tracing was enabled
   const OpenSpan span = it->second;
@@ -230,23 +87,6 @@ void Tracer::apply_txn_end(Cycle now, std::uint64_t txn, NodeId node, unsigned h
 
 void Tracer::complete_slow(Cycle start, Cycle end, NodeId node, const char* name,
                            std::uint32_t pid, std::uint32_t tid) {
-  if (!full()) return;
-  if (sharded_) {
-    Op op;
-    op.cycle = start;
-    op.k = Op::K::kComplete;
-    op.a = end;
-    op.name = name;
-    op.pid = pid;
-    op.tid = tid;
-    record(node, op);
-    return;
-  }
-  apply_complete(start, end, node, name, pid, tid);
-}
-
-void Tracer::apply_complete(Cycle start, Cycle end, NodeId node, const char* name,
-                            std::uint32_t pid, std::uint32_t tid) {
   Event e;
   e.ts = start;
   e.dur = end - start;
@@ -260,57 +100,20 @@ void Tracer::apply_complete(Cycle start, Cycle end, NodeId node, const char* nam
 void Tracer::instant_slow(Cycle now, NodeId node, const char* name,
                           std::uint32_t pid, std::uint32_t tid,
                           const char* arg_name, std::uint64_t arg) {
-  if (!full()) return;
-  if (sharded_) {
-    Op op;
-    op.cycle = now;
-    op.k = Op::K::kInstant;
-    op.name = name;
-    op.pid = pid;
-    op.tid = tid;
-    op.an0 = arg_name;
-    op.a = arg;
-    record(node, op);
-    return;
-  }
-  apply_instant(now, node, name, pid, tid, arg_name, arg);
-}
-
-void Tracer::apply_instant(Cycle now, NodeId node, const char* name,
-                           std::uint32_t pid, std::uint32_t tid, const char* an0,
-                           std::uint64_t a) {
   Event e;
   e.ts = now;
   e.name = name;
   e.ph = 'i';
   e.pid = pid;
   e.tid = tid;
-  e.arg_names[0] = an0;
-  e.args[0] = a;
+  e.arg_names[0] = arg_name;
+  e.args[0] = arg;
   push_event(node, e);
 }
 
 void Tracer::counter_slow(Cycle now, NodeId node, const char* name,
                           std::uint32_t pid, std::uint32_t tid,
                           std::uint64_t value) {
-  if (!full()) return;
-  if (sharded_) {
-    Op op;
-    op.cycle = now;
-    op.k = Op::K::kCounter;
-    op.name = name;
-    op.pid = pid;
-    op.tid = tid;
-    op.a = value;
-    record(node, op);
-    return;
-  }
-  apply_counter(now, node, name, pid, tid, value);
-}
-
-void Tracer::apply_counter(Cycle now, NodeId node, const char* name,
-                           std::uint32_t pid, std::uint32_t tid,
-                           std::uint64_t value) {
   Event e;
   e.ts = now;
   e.name = name;
@@ -328,12 +131,8 @@ void Tracer::set_track_name(std::uint32_t pid, std::uint32_t tid, std::string na
 }
 
 void Tracer::add_stall_slow(unsigned cpu, StallCat cat, Cycle cycles) {
-  if (!on()) return;
-  // Pure per-CPU sums: accumulate in the recording domain's shard and fold
-  // elementwise at finalize — cheaper than one record per stall and exact.
-  auto& stalls = sharded_ ? shards_[cpu % shards_.size()].stalls : stalls_;
-  if (stalls.size() <= cpu) stalls.resize(cpu + 1);
-  stalls[cpu].cycles[std::size_t(cat)] += cycles;
+  if (stalls_.size() <= cpu) stalls_.resize(cpu + 1);
+  stalls_[cpu].cycles[std::size_t(cat)] += cycles;
 }
 
 unsigned Tracer::register_link(std::string name) {
@@ -344,21 +143,8 @@ unsigned Tracer::register_link(std::string name) {
 
 void Tracer::add_link_flits_slow(unsigned link, Cycle now, std::uint64_t flits) {
   if (link >= links_.size()) return;  // registered before tracing was enabled
-  // Per-epoch sums, keyed only by simulated time: like add_stall, these
-  // fold exactly, so a link accumulates in its caller's shard. A link is
-  // only ever fed from one node (src-side ingress or dst-side egress), so
-  // each series has a single writer.
-  std::size_t e = epoch_of(now);
-  if (sharded_) {
-    // The NoC calls this from the event of the link's owning node; shard by
-    // link owner via the caller's domain — the link index itself is stable,
-    // so any shard works for a sum. Use the link id to spread, not to key.
-    auto& epochs = shards_[link % shards_.size()].link_flits[link];
-    if (epochs.size() <= e) epochs.resize(e + 1, 0);
-    epochs[e] += flits;
-    return;
-  }
   auto& epochs = links_[link].flits_per_epoch;
+  std::size_t e = epoch_of(now);
   if (epochs.size() <= e) epochs.resize(e + 1, 0);
   epochs[e] += flits;
 }
@@ -372,26 +158,13 @@ unsigned Tracer::register_bank(std::string name, NodeId node) {
 
 void Tracer::bank_queue_depth_slow(unsigned bank, Cycle now, std::size_t depth) {
   if (bank >= banks_.size()) return;  // registered before tracing was enabled
-  if (sharded_) {
-    Op op;
-    op.cycle = now;
-    op.k = Op::K::kBankDepth;
-    op.id = bank;
-    op.a = depth;
-    record(bank_nodes_[bank], op);
-    return;
-  }
-  apply_bank_depth(now, bank, depth);
-}
-
-void Tracer::apply_bank_depth(Cycle now, unsigned bank, std::size_t depth) {
   auto& epochs = banks_[bank].max_depth_per_epoch;
   std::size_t e = epoch_of(now);
   if (epochs.size() <= e) epochs.resize(e + 1, 0);
   epochs[e] = std::max<std::uint64_t>(epochs[e], depth);
   if (full()) {
-    apply_counter(now, bank_nodes_[bank], "queue_depth", kPidBank,
-                  std::uint32_t(bank), depth);
+    counter_slow(now, bank_nodes_[bank], "queue_depth", kPidBank,
+                 std::uint32_t(bank), depth);
   }
 }
 
@@ -418,9 +191,9 @@ std::string Tracer::chrome_json() const {
        << ",\"tid\":" << key.second << ",\"args\":{\"name\":\"" << name << "\"}}";
   }
 
-  // Canonical export order: (ts, node, seq). Per-node sequence numbers are
-  // assigned in per-node recording order, which both engines preserve, so
-  // the sorted export is byte-identical whichever engine produced the log.
+  // Canonical export order: (ts, node, seq), with per-node sequence numbers
+  // assigned in recording order. Events are not recorded in ts order
+  // ('X' events carry their start), so the export sorts.
   std::vector<const Event*> ordered;
   ordered.reserve(events_.size());
   for (const Event& e : events_) ordered.push_back(&e);

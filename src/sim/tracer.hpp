@@ -32,25 +32,11 @@
 /// Chrome export. All state is derived from simulation time, so two
 /// identical runs produce byte-identical output.
 ///
-/// Parallel runs (sim/parallel.hpp): the tracer is parallel-native. Every
-/// recording hook names the NoC node whose event is executing — the node
-/// the parallel engine maps to exactly one domain, and therefore exactly
-/// one worker thread. Under the parallel engine each hook appends a
-/// fixed-size record to its domain's shard (the Network::NodeShard
-/// pattern), stamped with a canonical order key
-///
-///     (cycle, recording node, per-node sequence number)
-///
-/// and finalize_sharded() sorts the merged record stream by that key and
-/// replays it through the exact serial aggregation code. Per-node record
-/// order is partition-invariant (one worker owns a domain, the node→domain
-/// map is fixed), cross-node dependent records are ≥ 1 cycle apart (NoC
-/// latency), and every same-cycle cross-node fold is commutative (sums,
-/// maxima, OR-masks, integral Sample::add) — so trace JSON and the run
-/// report are byte-identical to the serial reference for any domain or
-/// worker count. High-rate scalar hooks (add_stall, add_link_flits) skip
-/// the record stream entirely and accumulate per-shard sums merged
-/// elementwise, which is exact for the same commutativity reason.
+/// Every recording hook names the NoC node whose event is executing.
+/// Runs with the tracer on take the serial engine (core::System falls back
+/// whenever an observer is on), so hooks update the aggregates directly.
+/// The Chrome export orders events by (cycle, recording node, per-node
+/// sequence number), a total order fixed by the simulated platform alone.
 
 namespace ccnoc::sim {
 
@@ -87,8 +73,7 @@ class Tracer {
   /// One recorded Chrome event (kFull mode). Names are static strings —
   /// recording never copies or allocates. `node`/`seq` are the canonical
   /// order stamp (recording NoC node, per-node event sequence); they are
-  /// not emitted in the JSON but define the export order, which makes the
-  /// Chrome output independent of the engine that produced it.
+  /// not emitted in the JSON but define the export order.
   struct Event {
     Cycle ts = 0;
     Cycle dur = 0;               ///< 'X' (complete) events only
@@ -124,7 +109,7 @@ class Tracer {
   // branch and never sets up the out-of-line call (bench_micro guards this).
   //
   // `node` is always the NoC node whose event is executing the call — the
-  // sharding/order key — which for a span need not be the node that opened
+  // export order key — which for a span need not be the node that opened
   // it (e.g. a MESI fetch-invalidate response closes the *requester's* span
   // from the owner's node).
 
@@ -191,28 +176,12 @@ class Tracer {
 
   // --- bank queue telemetry -------------------------------------------------
 
-  /// \p node is the bank's NoC node — the order/shard key for the depth
-  /// samples it emits.
+  /// \p node is the bank's NoC node — the order key for the depth samples
+  /// it emits.
   unsigned register_bank(std::string name, NodeId node);
   void bank_queue_depth(unsigned bank, Cycle now, std::size_t depth) {
     if (on()) [[unlikely]] bank_queue_depth_slow(bank, now, depth);
   }
-
-  // --- parallel-engine sharding ---------------------------------------------
-
-  /// Enter sharded recording for a parallel run over \p domains domains
-  /// (node → domain is node % domains, matching Simulator::domain_of).
-  /// Until finalize_sharded(), hooks append order-stamped records to their
-  /// domain's shard instead of touching shared aggregate state. Call after
-  /// all components are built and registered, immediately before the engine
-  /// starts; nothing may call hooks from outside a domain in between.
-  void begin_sharded(unsigned domains);
-  /// Merge all shards deterministically: sort records by (cycle, node,
-  /// per-node seq), replay them through the serial aggregation paths, fold
-  /// the scalar accumulators in domain order, and return to direct-apply
-  /// recording.
-  void finalize_sharded();
-  [[nodiscard]] bool sharded() const { return sharded_; }
 
   /// Run-context block for the report JSON (schema v1 "run" object): the
   /// engine actually used, its domain count, why a partitioned platform
@@ -264,8 +233,7 @@ class Tracer {
   // --- export ---------------------------------------------------------------
 
   /// Chrome trace-event JSON (object form, with metadata). Events are
-  /// emitted in canonical (ts, node, seq) order, so the export is
-  /// byte-identical between the serial and parallel engines. Deterministic.
+  /// emitted in canonical (ts, node, seq) order. Deterministic.
   [[nodiscard]] std::string chrome_json() const;
   /// Machine-readable run report (schema in EXPERIMENTS.md).
   [[nodiscard]] std::string report_json() const;
@@ -299,53 +267,6 @@ class Tracer {
     Cycle begin = 0;
   };
 
-  /// One sharded hook record. Sorting the merged stream by
-  /// (cycle, node, seq) — all three deterministic functions of the
-  /// simulated platform — defines the canonical replay order.
-  struct Op {
-    enum class K : std::uint8_t {
-      kTxnBegin, kTxnNote, kTxnEnd, kComplete, kInstant, kCounter, kBankDepth,
-    };
-    Cycle cycle = 0;         ///< primary order key (op-defining cycle)
-    std::uint64_t seq = 0;   ///< per-node record sequence (tertiary key)
-    std::uint64_t id = 0;    ///< txn id / bank id
-    std::uint64_t a = 0, b = 0;
-    const char* name = nullptr;
-    const char* an0 = nullptr;
-    const char* an1 = nullptr;
-    NodeId node = 0;         ///< recording node (secondary key)
-    K k{};
-    std::uint32_t pid = 0, tid = 0;
-  };
-
-  /// Per-domain recording shard. Aligned so concurrently appending domains
-  /// never share a cache line (the Network::NodeShard discipline).
-  struct alignas(64) Shard {
-    std::vector<Op> ops;
-    std::vector<std::uint64_t> node_seq;  ///< per-node record counters
-    std::vector<CpuStallAttr> stalls;     ///< add_stall accumulator
-    std::vector<std::vector<std::uint64_t>> link_flits;  ///< per-link epoch sums
-  };
-
-  /// Append \p op to the shard owning \p node, stamping the order key.
-  void record(NodeId node, Op op);
-
-  // Direct-apply paths: shared verbatim between the serial engine and the
-  // post-run replay, so both produce identical state by construction.
-  void apply_txn_begin(Cycle now, std::uint64_t txn, const char* kind, NodeId node,
-                       std::uint32_t tid, Addr addr);
-  void apply_txn_note(Cycle now, std::uint64_t txn, NodeId node, const char* what,
-                      const char* an0, std::uint64_t a, const char* an1,
-                      std::uint64_t b);
-  void apply_txn_end(Cycle now, std::uint64_t txn, NodeId node, unsigned hops);
-  void apply_complete(Cycle start, Cycle end, NodeId node, const char* name,
-                      std::uint32_t pid, std::uint32_t tid);
-  void apply_instant(Cycle now, NodeId node, const char* name, std::uint32_t pid,
-                     std::uint32_t tid, const char* an0, std::uint64_t a);
-  void apply_counter(Cycle now, NodeId node, const char* name, std::uint32_t pid,
-                     std::uint32_t tid, std::uint64_t value);
-  void apply_bank_depth(Cycle now, unsigned bank, std::size_t depth);
-
   /// Stamp and push one Chrome event for \p node: per-node event sequence
   /// numbers make (ts, node, seq) a total order over the log.
   void push_event(NodeId node, Event e);
@@ -365,9 +286,6 @@ class Tracer {
   std::vector<NodeId> bank_nodes_;  ///< owner NoC node per registered bank
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::string> track_names_;
   std::vector<std::uint64_t> event_seq_;  ///< per-node Chrome event counters
-
-  bool sharded_ = false;
-  std::vector<Shard> shards_;
 
   std::string run_engine_ = "serial";
   unsigned run_domains_ = 1;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 #include <unordered_map>
 
 #include "noc/message.hpp"
+#include "sim/jsonv.hpp"
 
 /// \file hier.cpp
 /// The two-tier abstract machine (see hier.hpp). Node ids: L1 caches
@@ -25,6 +25,7 @@ using proto::CacheEvent;
 using proto::DirEvent;
 using proto::DirState;
 using proto::LineState;
+using sim::json_escape;
 
 namespace {
 
@@ -1780,29 +1781,6 @@ std::string make_fuzz_hint(const HierConfig& cfg) {
   h += " --cpus " + std::to_string(std::max(4u, cfg.num_l1));
   h += " --l2-banks 2 --seeds 200 --minimize";
   return h;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (std::uint8_t(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        unsigned(std::uint8_t(ch)));
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

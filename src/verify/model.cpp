@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <unordered_map>
 
 #include "noc/message.hpp"
+#include "sim/jsonv.hpp"
 
 /// \file model.cpp
 /// The abstract machine: one coherent block, N cache-line FSMs, a full-map
@@ -32,6 +32,7 @@ using proto::CacheEvent;
 using proto::DirEvent;
 using proto::DirState;
 using proto::LineState;
+using sim::json_escape;
 
 namespace {
 
@@ -1553,28 +1554,6 @@ std::string make_fuzz_hint(const ModelConfig& cfg) {
   }
   h += " --seeds 200 --minimize";
   return h;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (std::uint8_t(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", unsigned(std::uint8_t(ch)));
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -7,20 +7,17 @@
 
 #include "apps/ocean.hpp"
 #include "apps/water.hpp"
-#include "core/fuzz.hpp"
 #include "core/system.hpp"
 #include "sim/jsonv.hpp"
 #include "sim/latency.hpp"
 #include "sim/profile.hpp"
 
 /// The conservative parallel core's contract (EXPERIMENTS.md, "Parallel
-/// simulation" and "Parallel observability"): for any domain count and
-/// worker count, every statistic and every observer artifact — trace JSON,
-/// run report, profile JSON, HTML report, checker verdict — is
+/// simulation"): for any domain count and worker count, every statistic is
 /// byte-identical to the serial reference. These tests pin that contract
 /// end-to-end on full platform runs — workloads, seeds and partitions
-/// chosen to cross domain boundaries heavily — plus the remaining
-/// serial-fallback and degenerate-partition edges.
+/// chosen to cross domain boundaries heavily — plus the serial fallback of
+/// observed runs and the degenerate-partition edges.
 
 namespace ccnoc::core {
 namespace {
@@ -173,37 +170,15 @@ TEST(ParallelEquivalence, TwoLevelHierarchyMatchesSerialAcrossDomainCounts) {
   }
 }
 
-TEST(ParallelEquivalence, TwoLevelCheckedFuzzMatchesSerial) {
-  // A coherence-checked two-level fuzz run through the parallel engine:
-  // the probe recorder now also streams the L2 banks' recall teardowns,
-  // and the replayed verdict must not depend on the partition.
-  FuzzOptions opt;
-  opt.seed = 19;
-  opt.ops = 120;
-  opt.protocol = mem::Protocol::kWbMesi;
-  opt.l2_banks = 2;
-  const FuzzOutcome serial = run_fuzz(opt);
-  ASSERT_TRUE(serial.passed()) << serial.summary();
-  EXPECT_EQ(serial.engine, "serial");
-  opt.parallel_domains = 4;
-  const FuzzOutcome par = run_fuzz(opt);
-  EXPECT_EQ(par.engine, "parallel");
-  EXPECT_TRUE(par.passed()) << par.summary();
-  EXPECT_EQ(serial.cycles, par.cycles);
-  EXPECT_EQ(serial.loads_checked, par.loads_checked);
-  EXPECT_EQ(serial.exercised.count(), par.exercised.count());
-}
-
-// --- observer-on equivalence ---------------------------------------------
+// --- observed runs -------------------------------------------------------
 //
-// The observers are parallel-native: tracer, profiler and coherence probe
-// record into per-domain shards stamped with (cycle, node, seq) order keys
-// and merge deterministically after the run. Every observer artifact —
-// Chrome trace JSON, schema-v1 run report, profile JSON, the HTML report
-// built from it — must be BYTE-identical between the serial and parallel
-// engines at any domain and worker count. Only the report's "run" context
-// object differs by design (it names the engine), so it is stripped before
-// the byte compare and asserted separately.
+// Any observer on sends a partitioned platform to the serial engine, with
+// engine_fallback "observers". The partition must then change nothing:
+// every observer artifact (Chrome trace JSON, schema-v1 run report, profile
+// JSON and the HTML report built from it, latency JSON) and the checker's
+// verdict are byte-identical to the unpartitioned run's, and the checker's
+// periodic invariant walks run. Only the report's "run" object differs by
+// design (it names the fallback), so it is stripped before the compare.
 
 struct ObservedCapture {
   RunResult r;
@@ -212,7 +187,8 @@ struct ObservedCapture {
   std::string report;   ///< schema-v1 run report, "run" object stripped
   std::string profile;  ///< schema-v1 profile JSON
   std::string html;     ///< HTML report (heatmap inputs and all)
-  std::string latency;  ///< schema-v1 latency.json (empty when not enabled)
+  std::string latency;  ///< schema-v1 latency.json
+  std::uint64_t walks = 0;  ///< checker invariant walks
 };
 
 std::string strip_run_object(std::string j) {
@@ -223,18 +199,16 @@ std::string strip_run_object(std::string j) {
   return j;
 }
 
-ObservedCapture run_observed(unsigned cpus, std::uint64_t seed, unsigned domains,
-                             unsigned workers = 0, unsigned rows = 1,
-                             unsigned iters = 1, bool latency = false,
-                             unsigned l2_banks = 0) {
-  SystemConfig cfg = SystemConfig::architecture1(cpus, mem::Protocol::kWbMesi);
-  cfg.seed = seed;
-  cfg.kernel.seed = seed;
+/// Ocean with trace, profile, latency and check all on.
+ObservedCapture run_observed(unsigned domains, unsigned l2_banks) {
+  SystemConfig cfg = SystemConfig::architecture1(4, mem::Protocol::kWbMesi);
+  cfg.seed = 13;
+  cfg.kernel.seed = 13;
   cfg.trace = sim::TraceMode::kFull;
   cfg.profile = sim::ProfileMode::kOn;
-  if (latency) cfg.latency = sim::LatencyMode::kOn;
+  cfg.latency = sim::LatencyMode::kOn;
+  cfg.check.enabled = true;
   cfg.parallel_domains = domains;
-  cfg.parallel_workers = workers;
   if (l2_banks != 0) {
     cfg.hierarchy_levels = 2;
     cfg.num_l2_banks = l2_banks;
@@ -242,8 +216,8 @@ ObservedCapture run_observed(unsigned cpus, std::uint64_t seed, unsigned domains
   }
   System sys(cfg);
   apps::Ocean::Config oc;
-  oc.rows_per_thread = rows;
-  oc.iterations = iters;
+  oc.rows_per_thread = 2;
+  oc.iterations = 2;
   apps::Ocean w(oc);
   ObservedCapture c;
   c.r = sys.run(w);
@@ -253,143 +227,57 @@ ObservedCapture run_observed(unsigned cpus, std::uint64_t seed, unsigned domains
   const sim::ProfileSnapshot snap = sys.simulator().profiler().snapshot("eq");
   c.profile = sim::profile_json(snap);
   c.html = sim::profile_html("eq", snap);
-  if (latency) c.latency = sim::latency_json(sys.simulator().latency());
+  c.latency = sim::latency_json(sys.simulator().latency());
+  c.walks = sys.checker()->walks();
   return c;
 }
 
-void expect_observed_identical(const ObservedCapture& serial,
-                               const ObservedCapture& par) {
-  EXPECT_EQ(serial.stats, par.stats);
-  EXPECT_EQ(serial.chrome, par.chrome);
-  EXPECT_EQ(serial.report, par.report);
-  EXPECT_EQ(serial.profile, par.profile);
-  EXPECT_EQ(serial.html, par.html);
-  EXPECT_EQ(serial.latency, par.latency);  // byte-for-byte, full latency.json
+struct ObservedCase {
+  unsigned domains;
+  unsigned l2_banks;  ///< 0 = flat platform
+};
+
+class ObservedRun : public ::testing::TestWithParam<ObservedCase> {};
+
+TEST_P(ObservedRun, FallsBackSerialByteIdentical) {
+  const ObservedCase p = GetParam();
+  const ObservedCapture ref = run_observed(0, p.l2_banks);
+  ASSERT_TRUE(ref.r.verified);
+  ASSERT_TRUE(ref.r.check_ok) << ref.r.check_report;
+  EXPECT_EQ(ref.r.engine_fallback, "");
+  EXPECT_EQ(ref.r.observers, "trace,profile,latency,check");
+
+  const ObservedCapture part = run_observed(p.domains, p.l2_banks);
+  EXPECT_EQ(part.r.engine, "serial");
+  EXPECT_EQ(part.r.engine_domains, 1u);
+  EXPECT_EQ(part.r.engine_fallback, "observers");
+  EXPECT_EQ(part.r.observers, ref.r.observers);
+  EXPECT_EQ(part.stats, ref.stats);
+  EXPECT_EQ(part.chrome, ref.chrome);
+  EXPECT_EQ(part.report, ref.report);
+  EXPECT_EQ(part.profile, ref.profile);
+  EXPECT_EQ(part.html, ref.html);
+  EXPECT_EQ(part.latency, ref.latency);
+  EXPECT_EQ(part.r.check_ok, ref.r.check_ok);
+  EXPECT_EQ(part.r.check_violations, ref.r.check_violations);
+  EXPECT_EQ(part.r.check_report, ref.r.check_report);
+  EXPECT_EQ(part.r.check_loads_verified, ref.r.check_loads_verified);
+  EXPECT_GT(part.walks, 0u);
+  EXPECT_EQ(part.walks, ref.walks);
 }
 
-TEST(ParallelEquivalence, TracedProfiledRunsEngageParallelWithIdenticalOutput) {
-  for (std::uint64_t seed : {13ull, 29ull}) {
-    const ObservedCapture serial =
-        run_observed(4, seed, 0, 0, /*rows=*/2, /*iters=*/2);
-    ASSERT_TRUE(serial.r.verified);
-    EXPECT_EQ(serial.r.engine, "serial");
-    EXPECT_EQ(serial.r.observers, "trace,profile");
-    for (unsigned domains : {2u, 4u, 6u}) {
-      const ObservedCapture par =
-          run_observed(4, seed, domains, 0, /*rows=*/2, /*iters=*/2);
-      EXPECT_EQ(par.r.engine, "parallel")
-          << "observers forced a fallback (seed " << seed << "): "
-          << par.r.engine_fallback;
-      EXPECT_EQ(par.r.engine_domains, domains);
-      expect_observed_identical(serial, par);
-    }
-  }
-}
-
-TEST(ParallelEquivalence, ObserverOutputUnchangedByWorkerPoolSize) {
-  const ObservedCapture serial = run_observed(4, 17, 0, 0, 2, 2);
-  for (unsigned workers : {1u, 2u, 4u}) {
-    const ObservedCapture par = run_observed(4, 17, 4, workers, 2, 2);
-    EXPECT_EQ(par.r.engine, "parallel") << par.r.engine_fallback;
-    expect_observed_identical(serial, par);
-  }
-}
-
-TEST(ParallelEquivalence, ObserversOnMediumPlatformMatchSerial) {
-  const ObservedCapture serial = run_observed(16, 3, 0);
-  ASSERT_TRUE(serial.r.verified);
-  for (unsigned domains : {4u, 8u}) {
-    const ObservedCapture par = run_observed(16, 3, domains);
-    EXPECT_EQ(par.r.engine, "parallel") << par.r.engine_fallback;
-    expect_observed_identical(serial, par);
-  }
-}
-
-TEST(ParallelEquivalence, ObserversOnLargePlatformMatchSerial) {
-  // The acceptance configuration: 64 CPUs with full tracing + profiling,
-  // merged from 16 domain shards.
-  const ObservedCapture serial = run_observed(64, 2, 0);
-  ASSERT_TRUE(serial.r.verified);
-  const ObservedCapture par = run_observed(64, 2, 16);
-  EXPECT_EQ(par.r.engine, "parallel") << par.r.engine_fallback;
-  EXPECT_EQ(par.r.engine_domains, 16u);
-  expect_observed_identical(serial, par);
-}
-
-// --- latency-observatory equivalence -------------------------------------
-//
-// The latency observatory is the third parallel-native observer: hooks
-// append (cycle, node, seq)-stamped records to per-domain shards and the
-// merge replays them in canonical order, so latency.json — phase sums, HDR
-// percentiles, worst-offender table — is byte-identical between engines.
-// These rows pin the ISSUE's acceptance matrix: 4, 16 and 64 CPUs.
-
-TEST(ParallelEquivalence, LatencyJsonByteIdenticalAcrossDomainCounts) {
-  const ObservedCapture serial =
-      run_observed(4, 13, 0, 0, 2, 2, /*latency=*/true);
-  ASSERT_TRUE(serial.r.verified);
-  ASSERT_FALSE(serial.latency.empty());
-  EXPECT_EQ(serial.r.observers, "trace,profile,latency");
-  for (unsigned domains : {2u, 4u, 6u}) {
-    const ObservedCapture par =
-        run_observed(4, 13, domains, 0, 2, 2, /*latency=*/true);
-    EXPECT_EQ(par.r.engine, "parallel")
-        << "latency observer forced a fallback: " << par.r.engine_fallback;
-    EXPECT_EQ(par.r.engine_domains, domains);
-    expect_observed_identical(serial, par);
-  }
-}
-
-TEST(ParallelEquivalence, LatencyJsonUnchangedByWorkerPoolSize) {
-  const ObservedCapture serial =
-      run_observed(4, 17, 0, 0, 2, 2, /*latency=*/true);
-  for (unsigned workers : {2u, 4u}) {
-    const ObservedCapture par =
-        run_observed(4, 17, 4, workers, 2, 2, /*latency=*/true);
-    EXPECT_EQ(par.r.engine, "parallel") << par.r.engine_fallback;
-    expect_observed_identical(serial, par);
-  }
-}
-
-TEST(ParallelEquivalence, LatencyOnMediumPlatformMatchesSerial) {
-  const ObservedCapture serial = run_observed(16, 3, 0, 0, 1, 1, true);
-  ASSERT_TRUE(serial.r.verified);
-  for (unsigned domains : {4u, 8u}) {
-    const ObservedCapture par = run_observed(16, 3, domains, 0, 1, 1, true);
-    EXPECT_EQ(par.r.engine, "parallel") << par.r.engine_fallback;
-    expect_observed_identical(serial, par);
-  }
-}
-
-TEST(ParallelEquivalence, LatencyOnLargePlatformMatchesSerial) {
-  // The acceptance configuration: 64 CPUs with trace + profile + latency
-  // all on, merged from 16 domain shards.
-  const ObservedCapture serial = run_observed(64, 2, 0, 0, 1, 1, true);
-  ASSERT_TRUE(serial.r.verified);
-  const ObservedCapture par = run_observed(64, 2, 16, 0, 1, 1, true);
-  EXPECT_EQ(par.r.engine, "parallel") << par.r.engine_fallback;
-  EXPECT_EQ(par.r.engine_domains, 16u);
-  expect_observed_identical(serial, par);
-}
-
-TEST(ParallelEquivalence, LatencyOnTwoLevelHierarchyMatchesSerial) {
-  // L2 fills, recalls and eviction write-backs open latency transactions on
-  // the L2 banks' own NoC nodes; recall invalidations cut across domains.
-  const ObservedCapture serial =
-      run_observed(4, 7, 0, 0, 2, 2, /*latency=*/true, /*l2_banks=*/2);
-  ASSERT_TRUE(serial.r.verified);
-  for (unsigned domains : {2u, 4u}) {
-    const ObservedCapture par =
-        run_observed(4, 7, domains, 0, 2, 2, /*latency=*/true, /*l2_banks=*/2);
-    EXPECT_EQ(par.r.engine, "parallel") << par.r.engine_fallback;
-    expect_observed_identical(serial, par);
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    ParallelEquivalence, ObservedRun,
+    ::testing::Values(ObservedCase{2, 0}, ObservedCase{4, 0}, ObservedCase{2, 2},
+                      ObservedCase{4, 2}),
+    [](const ::testing::TestParamInfo<ObservedCase>& info) {
+      return std::string(info.param.l2_banks == 0 ? "flat" : "two_level") + "_d" +
+             std::to_string(info.param.domains);
+    });
 
 TEST(ParallelEquivalence, TraceLevelLoggingStillFallsBackSerial) {
-  // Free-form log lines interleave in execution order, which has no
-  // canonical merge: the one observer that still forces the serial engine,
-  // and the run report must say why.
+  // Trace-level logging is an observer like the others: it forces the
+  // serial engine, and the run result must say why.
   SystemConfig cfg = SystemConfig::architecture1(4, mem::Protocol::kWbMesi);
   cfg.seed = 13;
   cfg.kernel.seed = 13;
@@ -405,48 +293,7 @@ TEST(ParallelEquivalence, TraceLevelLoggingStillFallsBackSerial) {
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.engine, "serial");
   EXPECT_EQ(r.engine_domains, 1u);
-  EXPECT_EQ(r.engine_fallback, "trace-logging");
-}
-
-TEST(ParallelEquivalence, CheckedRunsEngageParallelWithIdenticalVerdict) {
-  // Coherence checking is parallel-native: the probe stream is recorded per
-  // domain and replayed through the oracle in canonical order, so a checked
-  // partitioned run genuinely takes the parallel engine and must reach the
-  // same verdict, load count and statistics as the serial reference.
-  FuzzOptions opt;
-  opt.seed = 21;
-  opt.ops = 120;
-  const FuzzOutcome serial = run_fuzz(opt);
-  opt.parallel_domains = 4;
-  const FuzzOutcome par = run_fuzz(opt);
-  EXPECT_TRUE(serial.passed());
-  EXPECT_EQ(serial.engine, "serial");
-  EXPECT_EQ(par.engine, "parallel");
-  EXPECT_EQ(par.engine_domains, 4u);
-  EXPECT_EQ(serial.passed(), par.passed());
-  EXPECT_EQ(serial.cycles, par.cycles);
-  EXPECT_EQ(serial.loads_checked, par.loads_checked);
-  EXPECT_EQ(serial.violations, par.violations);
-  EXPECT_EQ(serial.exercised.count(), par.exercised.count());
-}
-
-TEST(ParallelEquivalence, CheckedRunsAcrossSeedsAndDomainCounts) {
-  for (std::uint64_t seed : {5ull, 33ull}) {
-    FuzzOptions opt;
-    opt.seed = seed;
-    opt.ops = 100;
-    opt.protocol = mem::Protocol::kWbMesi;
-    const FuzzOutcome serial = run_fuzz(opt);
-    ASSERT_TRUE(serial.passed()) << "seed " << seed;
-    for (unsigned domains : {2u, 6u}) {
-      opt.parallel_domains = domains;
-      const FuzzOutcome par = run_fuzz(opt);
-      EXPECT_EQ(par.engine, "parallel") << "seed " << seed;
-      EXPECT_TRUE(par.passed()) << "seed " << seed << " domains " << domains;
-      EXPECT_EQ(serial.cycles, par.cycles);
-      EXPECT_EQ(serial.loads_checked, par.loads_checked);
-    }
-  }
+  EXPECT_EQ(r.engine_fallback, "observers");
 }
 
 TEST(ParallelEquivalence, HeartbeatStreamsValidJsonl) {

@@ -11,7 +11,7 @@
 /// Unit tests for the latency observatory primitives: the HDR-style
 /// LogHistogram (golden accuracy against known distributions) and the
 /// telescoping phase-attribution machinery (phase sums ≡ whole-span by
-/// construction, boundary clamping, top-K ordering, sharded replay).
+/// construction, boundary clamping, top-K ordering).
 
 namespace ccnoc::sim {
 namespace {
@@ -274,24 +274,6 @@ void drive(LatencyObservatory& lat) {
   lat.mark(130, 2, 3, Phase::kDirService, 130);
   lat.txn_end(140, 1, 0);
   lat.txn_end(151, 2, 1);
-}
-
-TEST(LatencyObservatory, ShardedReplayMatchesSerialByteForByte) {
-  LatencyObservatory serial;
-  serial.set_mode(LatencyMode::kOn);
-  drive(serial);
-
-  LatencyObservatory sharded;
-  sharded.set_mode(LatencyMode::kOn);
-  sharded.begin_sharded(4);
-  EXPECT_TRUE(sharded.sharded());
-  drive(sharded);
-  EXPECT_TRUE(sharded.kinds().empty());  // nothing applied until the merge
-  sharded.finalize_sharded();
-  EXPECT_FALSE(sharded.sharded());
-
-  EXPECT_EQ(latency_json(sharded), latency_json(serial));
-  EXPECT_EQ(sharded.open_count(), 0u);
 }
 
 TEST(LatencyObservatory, JsonIsValidAndCarriesSchema) {

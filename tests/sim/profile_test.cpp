@@ -302,70 +302,6 @@ TEST_F(ProfileTest, HottestAndFalseSharedOrdering) {
   EXPECT_EQ(fs[1]->block, 0x100u);
 }
 
-
-TEST_F(ProfileTest, ShardedMergeMatchesDirectRecording) {
-  // Serial reference, canonical order.
-  auto feed_serial = [](Profiler& p) {
-    p.set_mode(ProfileMode::kOn);
-    p.set_epoch_cycles(64);
-    p.set_block_bytes(32);
-    unsigned b = p.register_bank("bank0", 2);
-    unsigned l = p.register_link("l0");
-    p.access(1, 0, 0x100, 4, AccessClass::kStore);
-    p.access(1, 1, 0x200, 4, AccessClass::kLoad);
-    p.invalidate_recv(2, 1, 0x100, true);
-    p.miss(3, 1, 0x100);
-    p.traffic(3, 0, 0x100, 44);
-    p.traffic(3, 1, 0x200, 20);
-    p.fanout(4, 2, 0x100, 2);
-    p.dir_width(2, 0x100, 2);
-    p.bank_enqueue(5, b, 0x100, 1);
-    p.bank_dequeue(9, b, 0x100, 0);
-    p.stall(9, 1, 0x100, 6, AccessClass::kLoad);
-    p.wbuf_stall(10, 0, 0x100);
-    p.update_recv(10, 1, 0x200);
-    p.link_flits(l, 3);
-  };
-  Profiler ref;
-  feed_serial(ref);
-
-  // Sharded run: same per-node streams, scrambled cross-node interleaving.
-  Profiler sh;
-  sh.set_mode(ProfileMode::kOn);
-  sh.set_epoch_cycles(64);
-  sh.set_block_bytes(32);
-  unsigned b = sh.register_bank("bank0", 2);
-  unsigned l = sh.register_link("l0");
-  sh.begin_sharded(3);
-  ASSERT_TRUE(sh.sharded());
-  sh.access(1, 1, 0x200, 4, AccessClass::kLoad);   // node 1 stream first
-  sh.invalidate_recv(2, 1, 0x100, true);
-  sh.miss(3, 1, 0x100);
-  sh.traffic(3, 1, 0x200, 20);
-  sh.stall(9, 1, 0x100, 6, AccessClass::kLoad);
-  sh.fanout(4, 2, 0x100, 2);                        // then the bank node
-  sh.dir_width(2, 0x100, 2);
-  sh.bank_enqueue(5, b, 0x100, 1);
-  sh.bank_dequeue(9, b, 0x100, 0);
-  sh.access(1, 0, 0x100, 4, AccessClass::kStore);   // node 0 stream last
-  sh.traffic(3, 0, 0x100, 44);
-  sh.wbuf_stall(10, 0, 0x100);
-  sh.update_recv(10, 1, 0x200);
-  sh.link_flits(l, 3);
-  sh.finalize_sharded();
-  ASSERT_FALSE(sh.sharded());
-
-  EXPECT_EQ(profile_json(ref.snapshot("run"), 0), profile_json(sh.snapshot("run"), 0));
-}
-
-TEST_F(ProfileTest, ShardedNoOpWhenOff) {
-  Profiler off;  // kOff
-  off.begin_sharded(4);
-  EXPECT_FALSE(off.sharded());
-  off.finalize_sharded();
-  EXPECT_EQ(off.line_count(), 0u);
-}
-
 TEST_F(ProfileTest, SnapshotReconcilesLineTrafficWithTotals) {
   pf.traffic(1, 0, 0x100, 16);
   pf.traffic(2, 1, 0x200, 48);

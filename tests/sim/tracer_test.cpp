@@ -278,54 +278,6 @@ TEST(TracerTest, LinkFlitsBucketByEpoch) {
   EXPECT_NE(j.find("[2,1]"), std::string::npos) << j;
 }
 
-
-TEST(TracerTest, ShardedMergeMatchesDirectRecording) {
-  // Serial reference: events recorded in canonical order.
-  Tracer ref;
-  ref.set_mode(TraceMode::kFull);
-  unsigned bank_r = ref.register_bank("bank0", 2);
-  std::uint64_t r0 = ref.alloc_txn();
-  std::uint64_t r1 = ref.alloc_txn();
-  ref.txn_begin(5, r0, "load", 0, 0, 0x100);
-  ref.txn_begin(5, r1, "store", 1, 1, 0x200);
-  ref.instant(6, 0, "evt", Tracer::kPidCache, 0);
-  ref.complete(6, 9, 2, "read", Tracer::kPidBank, 0);
-  ref.txn_end(12, r0, 0, 2);
-  ref.txn_end(12, r1, 1, 2);
-  ref.add_stall(0, StallCat::kLoad, 3);
-  ref.bank_queue_depth(bank_r, 7, 1);
-
-  // Sharded run: the same per-node hook streams, issued in a scrambled
-  // cross-node interleaving — exactly the freedom the parallel engine has.
-  Tracer sh;
-  sh.set_mode(TraceMode::kFull);
-  unsigned bank_s = sh.register_bank("bank0", 2);
-  std::uint64_t s0 = sh.alloc_txn();
-  std::uint64_t s1 = sh.alloc_txn();
-  sh.begin_sharded(2);
-  ASSERT_TRUE(sh.sharded());
-  sh.txn_begin(5, s1, "store", 1, 1, 0x200);
-  sh.txn_end(12, s1, 1, 2);
-  sh.complete(6, 9, 2, "read", Tracer::kPidBank, 0);
-  sh.bank_queue_depth(bank_s, 7, 1);
-  sh.txn_begin(5, s0, "load", 0, 0, 0x100);
-  sh.instant(6, 0, "evt", Tracer::kPidCache, 0);
-  sh.txn_end(12, s0, 0, 2);
-  sh.add_stall(0, StallCat::kLoad, 3);
-  sh.finalize_sharded();
-  ASSERT_FALSE(sh.sharded());
-
-  EXPECT_EQ(ref.chrome_json(), sh.chrome_json());
-  EXPECT_EQ(ref.report_json(), sh.report_json());
-}
-
-TEST(TracerTest, ShardedNoOpWhenOff) {
-  Tracer t;  // kOff
-  t.begin_sharded(4);
-  EXPECT_FALSE(t.sharded());
-  t.finalize_sharded();  // must be a harmless no-op
-}
-
 TEST(TracerTest, RunContextAppearsInReport) {
   Tracer t = make_populated_tracer();
   t.set_run_context("parallel", 4, "", "trace,profile");

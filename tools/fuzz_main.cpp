@@ -41,10 +41,6 @@ void usage(const char* argv0) {
                "                      of N shared L2 banks (default 0 = flat)\n"
                "  --l2-bytes N        L2 data array per bank (default 2048 —\n"
                "                      tiny, so capacity recalls fire)\n"
-               "  --parallel-domains N  run under the conservative parallel engine\n"
-               "                      with N domains (checking, tracing and\n"
-               "                      profiling are parallel-native; the verdict\n"
-               "                      is identical to the serial reference)\n"
                "  --minimize          shrink a failing config to a minimal repro\n"
                "  --trace PATH        record a Chrome trace of every run\n"
                "                      (multi-seed runs overwrite; the minimized\n"
@@ -134,8 +130,6 @@ int main(int argc, char** argv) {
       opt.l2_banks = unsigned(n);
     } else if (a == "--l2-bytes" && parse_u64(value(), &n)) {
       opt.l2_size_bytes = unsigned(n);
-    } else if (a == "--parallel-domains" && parse_u64(value(), &n)) {
-      opt.parallel_domains = unsigned(n);
     } else if (a == "--heartbeat" && parse_u64(value(), &n)) {
       opt.heartbeat_ms = unsigned(n);
     } else if (a == "--heartbeat-json") {
@@ -164,9 +158,8 @@ int main(int argc, char** argv) {
   for (std::uint64_t s = 0; s < num_seeds; ++s) {
     FuzzOptions run = opt;
     run.seed = opt.seed + s;
-    // Observers ride along on the primary run — tracing/profiling are
-    // parallel-native, so there is no need to wait for a failure and re-run
-    // on the sequenced engine.
+    // Observers ride along on the primary run, so there is no need to wait
+    // for a failure and re-run.
     run.trace_path = trace_path;
     run.profile_path = profile_path;
     run.latency_path = latency_path;

@@ -52,7 +52,7 @@ bool observer_header(const std::string& p) {
 /// null checks — anything else is work done before the mode test.
 bool cheap_guard_ident(std::string_view s) {
   return s == "on" || s == "full" || s == "nullptr" || s == "probe_" ||
-         s == "sharded_" || s == "enabled" || s == "enabled_";
+         s == "enabled" || s == "enabled_";
 }
 bool cheap_guard_punct(std::string_view s) {
   return s == "(" || s == ")" || s == "!" || s == "&&" || s == "||" ||
@@ -202,10 +202,9 @@ const char* kShard = "shard-discipline";
 /// Functions allowed to sweep every shard: the serial begin/merge/finalize
 /// phases, where no domain worker is running.
 bool merge_phase_function(const std::string& name) {
-  static const char* kPrefixes[] = {"begin_sharded", "finalize", "merge",
-                                    "snapshot",      "reset",    "clear",
-                                    "enable",        "recorded", "total",
-                                    "collect",       "drain",    "replay"};
+  static const char* kPrefixes[] = {"finalize", "merge",   "snapshot",
+                                    "reset",    "clear",   "enable",
+                                    "total",    "collect", "drain"};
   return std::any_of(std::begin(kPrefixes), std::end(kPrefixes),
                      [&](const char* p) { return starts_with(name, p); });
 }
