@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/jsonv.hpp"
+
 /// Shared command-line and JSON-output plumbing for the bench binaries.
 ///
 /// Every bench accepts:
@@ -101,38 +103,13 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
   return opt;
 }
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Minimal JSON emitter: enough structure for the flat bench records
-/// (objects, arrays, string/number/bool fields) without a dependency.
-/// Comma placement is tracked with one flag: anything that completes a
-/// value (a field, end_object, end_array) marks the next sibling as needing
-/// a separator.
+/// (objects, arrays, string/number/bool fields) on top of sim::JsonOut.
+/// Doubles keep nine significant digits ("%.9g"). Comma placement is
+/// tracked with one flag: anything that completes a value (a field,
+/// end_object, end_array) marks the next sibling as needing a separator.
 class JsonWriter {
  public:
-  explicit JsonWriter(std::FILE* f) : f_(f) {}
-
   void begin_object() { sep(); open('{'); }
   void begin_object(const std::string& key) { key_of(key); open('{'); }
   void end_object() { done('}'); }
@@ -141,13 +118,13 @@ class JsonWriter {
 
   void field(const std::string& key, const std::string& v) {
     key_of(key);
-    std::fprintf(f_, "\"%s\"", json_escape(v).c_str());
+    out_.str(v);
     need_comma_ = true;
   }
   void field(const std::string& key, const char* v) { field(key, std::string(v)); }
   void field(const std::string& key, std::uint64_t v) {
     key_of(key);
-    std::fprintf(f_, "%llu", static_cast<unsigned long long>(v));
+    out_.num(v);
     need_comma_ = true;
   }
   void field(const std::string& key, unsigned v) {
@@ -155,34 +132,40 @@ class JsonWriter {
   }
   void field(const std::string& key, double v) {
     key_of(key);
-    std::fprintf(f_, "%.9g", v);
+    out_.num(v, 9);
     need_comma_ = true;
   }
   void field(const std::string& key, bool v) {
     key_of(key);
-    std::fputs(v ? "true" : "false", f_);
+    out_.boolean(v);
     need_comma_ = true;
+  }
+
+  /// The finished record, ending in a newline.
+  [[nodiscard]] std::string take_line() {
+    out_.raw('\n');
+    return out_.take();
   }
 
  private:
   void sep() {
-    if (need_comma_) std::fputc(',', f_);
+    if (need_comma_) out_.raw(',');
     need_comma_ = false;
   }
   void key_of(const std::string& key) {
     sep();
-    std::fprintf(f_, "\"%s\":", json_escape(key).c_str());
+    out_.str(key).raw(':');
   }
   void open(char c) {
-    std::fputc(c, f_);
+    out_.raw(c);
     need_comma_ = false;
   }
   void done(char c) {
-    std::fputc(c, f_);
+    out_.raw(c);
     need_comma_ = true;
   }
 
-  std::FILE* f_;
+  sim::JsonOut out_;
   bool need_comma_ = false;
 };
 
@@ -200,17 +183,12 @@ class MetricLog {
   }
 
   /// Write the BENCH_*.json record (schema in EXPERIMENTS.md); returns
-  /// false (with a message on stderr) if the file can't be opened.
+  /// false (with a message on stderr) if the file can't be written.
   [[nodiscard]] bool write(const std::string& path,
                            const std::string& bench_name) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return false;
-    }
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0_).count();
-    JsonWriter w(f);
+    JsonWriter w;
     w.begin_object();
     w.field("bench", bench_name);
     w.field("schema_version", std::uint64_t{1});
@@ -235,8 +213,7 @@ class MetricLog {
     w.field("wall_seconds", wall);
     w.end_object();
     w.end_object();
-    std::fputc('\n', f);
-    std::fclose(f);
+    if (!sim::write_file(path, w.take_line())) return false;
     std::printf("wrote %s (%zu points)\n", path.c_str(), rows_.size());
     return true;
   }

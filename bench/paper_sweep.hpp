@@ -137,14 +137,9 @@ inline const char* arch_label(unsigned arch) {
 
 /// Emit the shared BENCH_*.json record (schema in EXPERIMENTS.md) for a
 /// completed sweep. Returns false (with a message) if the file can't be
-/// opened.
+/// written.
 inline bool write_paper_json(const std::string& path, const std::string& bench_name,
                              const std::vector<PaperRun>& runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
   double wall = 0.0;
   std::uint64_t events = 0;
   for (const PaperRun& r : runs) {
@@ -152,7 +147,7 @@ inline bool write_paper_json(const std::string& path, const std::string& bench_n
     events += r.result.events;
   }
 
-  JsonWriter w(f);
+  JsonWriter w;
   w.begin_object();
   w.field("bench", bench_name);
   w.field("schema_version", std::uint64_t{1});
@@ -184,8 +179,7 @@ inline bool write_paper_json(const std::string& path, const std::string& bench_n
   w.field("events_per_sec", wall > 0 ? double(events) / wall : 0.0);
   w.end_object();
   w.end_object();
-  std::fputc('\n', f);
-  std::fclose(f);
+  if (!sim::write_file(path, w.take_line())) return false;
   std::printf("wrote %s (%zu points)\n", path.c_str(), runs.size());
   return true;
 }
@@ -198,22 +192,18 @@ inline bool write_sweep_profiles(const std::string& path,
                                  const std::string& bench_name,
                                  const std::vector<PaperRun>& runs,
                                  std::size_t top_n = 0) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\"schema_version\":1,\"kind\":\"ccnoc-profile-sweep\","
-                  "\"bench\":\"%s\",\"profiles\":[", bench_name.c_str());
+  sim::JsonOut o;
+  o.raw("{\"schema_version\":1,\"kind\":\"ccnoc-profile-sweep\",\"bench\":");
+  o.str(bench_name).raw(",\"profiles\":[");
   bool first = true;
   for (const PaperRun& r : runs) {
     if (r.profile.label.empty()) continue;  // point ran with profiling off
-    if (!first) std::fputc(',', f);
+    if (!first) o.raw(',');
     first = false;
-    std::fputs(sim::profile_json(r.profile, top_n).c_str(), f);
+    o.raw(sim::profile_json(r.profile, top_n));
   }
-  std::fputs("]}\n", f);
-  std::fclose(f);
+  o.raw("]}\n");
+  if (!sim::write_file(path, o.text())) return false;
   std::printf("wrote %s\n", path.c_str());
   return true;
 }

@@ -1,7 +1,8 @@
 #include "sim/heartbeat.hpp"
 
 #include <algorithm>
-#include <sstream>
+
+#include "sim/jsonv.hpp"
 
 namespace ccnoc::sim {
 
@@ -72,29 +73,30 @@ void Heartbeat::beat() {
 }
 
 std::string Heartbeat::to_json(const Sample& s) {
-  std::ostringstream os;
-  os << "{\"schema\":\"ccnoc-heartbeat-v1\",\"wall_ms\":" << s.wall_ms
-     << ",\"engine\":\"" << s.engine << "\",\"epochs\":" << s.epochs
-     << ",\"domains\":[";
+  JsonOut o;
+  o.raw("{\"schema\":\"ccnoc-heartbeat-v1\",\"wall_ms\":").num(s.wall_ms);
+  o.raw(",\"engine\":").str(s.engine).raw(",\"epochs\":").num(s.epochs);
+  o.raw(",\"domains\":[");
   for (std::size_t i = 0; i < s.domains.size(); ++i) {
     const Sample::Domain& d = s.domains[i];
-    if (i) os << ",";
-    os << "{\"domain\":" << d.domain << ",\"cycle\":" << d.cycle
-       << ",\"events\":" << d.events << ",\"mailbox\":" << d.mailbox << "}";
+    if (i) o.raw(',');
+    o.raw("{\"domain\":").num(d.domain).raw(",\"cycle\":").num(d.cycle);
+    o.raw(",\"events\":").num(d.events).raw(",\"mailbox\":").num(d.mailbox);
+    o.raw('}');
   }
-  os << "],\"workers\":[";
+  o.raw("],\"workers\":[");
   for (std::size_t i = 0; i < s.workers.size(); ++i) {
     const Sample::Worker& w = s.workers[i];
-    if (i) os << ",";
+    if (i) o.raw(',');
     // Millisecond resolution with fixed 3 decimals keeps the line compact
     // and locale-independent.
     std::uint64_t us = w.barrier_wait_ns / 1000;
-    os << "{\"worker\":" << w.worker << ",\"barrier_wait_ms\":" << us / 1000
-       << "." << char('0' + us / 100 % 10) << char('0' + us / 10 % 10)
-       << char('0' + us % 10) << "}";
+    o.raw("{\"worker\":").num(w.worker).raw(",\"barrier_wait_ms\":").num(us / 1000);
+    o.raw('.').raw(char('0' + us / 100 % 10)).raw(char('0' + us / 10 % 10));
+    o.raw(char('0' + us % 10)).raw('}');
   }
-  os << "]}";
-  return os.str();
+  o.raw("]}");
+  return o.take();
 }
 
 std::string Heartbeat::to_stderr_line(const Sample& s) {
@@ -109,14 +111,15 @@ std::string Heartbeat::to_stderr_line(const Sample& s) {
   if (s.domains.empty()) lo = 0;
   std::uint64_t wait_ns = 0;
   for (const Sample::Worker& w : s.workers) wait_ns += w.barrier_wait_ns;
-  std::ostringstream os;
-  os << "[heartbeat] t=" << s.wall_ms / 1000 << "." << s.wall_ms / 100 % 10
-     << s.wall_ms / 10 % 10 << s.wall_ms % 10 << "s " << s.engine << " epochs="
-     << s.epochs << " cycle=" << lo;
-  if (hi != lo) os << ".." << hi;
-  os << " events=" << events << " mailbox=" << mailbox
-     << " barrier_wait=" << wait_ns / 1000000 << "ms";
-  return os.str();
+  // A text line, built with the same appender as the JSON stream.
+  JsonOut o;
+  o.raw("[heartbeat] t=").num(s.wall_ms / 1000).raw('.').num(s.wall_ms / 100 % 10);
+  o.num(s.wall_ms / 10 % 10).num(s.wall_ms % 10).raw("s ").raw(s.engine);
+  o.raw(" epochs=").num(s.epochs).raw(" cycle=").num(lo);
+  if (hi != lo) o.raw("..").num(hi);
+  o.raw(" events=").num(events).raw(" mailbox=").num(mailbox);
+  o.raw(" barrier_wait=").num(wait_ns / 1000000).raw("ms");
+  return o.take();
 }
 
 }  // namespace ccnoc::sim

@@ -193,32 +193,54 @@ bool jsonv_parse_file(const std::string& path, Jsonv& out, std::string& err) {
   return jsonv_parse(ss.str(), out, err);
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", unsigned(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+JsonOut& JsonOut::num(double v, int digits) {
+  char buf[64];
+  const int n = std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+  s_.append(buf, std::size_t(n));
+  return *this;
 }
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
+JsonOut& JsonOut::escaped(std::string_view v) {
+  // Copies runs of plain bytes whole and stops only at bytes that escape.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const auto c = static_cast<unsigned char>(v[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    s_.append(v.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': s_ += "\\\""; break;
+      case '\\': s_ += "\\\\"; break;
+      case '\n': s_ += "\\n"; break;
+      case '\t': s_ += "\\t"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        s_.append(u, sizeof u);
+      }
+    }
+  }
+  s_.append(v.data() + run, v.size() - run);
+  return *this;
+}
+
+std::string json_escape(std::string_view s) {
+  JsonOut o;
+  o.escaped(s);
+  return o.take();
+}
+
+bool write_file(const std::string& path, std::string_view content) {
+  const bool to_stdout = path == "-";
+  std::FILE* f = to_stdout ? stdout : std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  ok = (to_stdout ? std::fflush(f) : std::fclose(f)) == 0 && ok;
+  if (!ok) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return ok;
 }
 
 }  // namespace ccnoc::sim

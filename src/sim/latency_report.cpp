@@ -1,6 +1,3 @@
-#include <cstdio>
-#include <sstream>
-
 #include "sim/jsonv.hpp"
 #include "sim/latency.hpp"
 
@@ -14,13 +11,13 @@ namespace ccnoc::sim {
 
 namespace {
 
-void emit_phases(std::ostringstream& os, const PhaseCycles& ph) {
-  os << "{";
+void emit_phases(JsonOut& o, const PhaseCycles& ph) {
+  o.raw('{');
   for (std::size_t p = 0; p < kNumPhases; ++p) {
-    if (p != 0) os << ",";
-    os << "\"" << to_string(Phase(p)) << "\":" << ph[p];
+    if (p != 0) o.raw(',');
+    o.str(to_string(Phase(p))).raw(':').num(ph[p]);
   }
-  os << "}";
+  o.raw('}');
 }
 
 std::uint64_t phase_total(const PhaseCycles& ph) {
@@ -37,90 +34,80 @@ Phase dominant_of(const PhaseCycles& ph) {
   return Phase(best);
 }
 
-bool write_string(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  std::fclose(f);
-  return ok;
-}
-
 }  // namespace
 
 std::string latency_json(const LatencyObservatory& lat) {
-  std::ostringstream os;
-  os << "{\"schema_version\":1,\"kind\":\"ccnoc-latency\"";
+  JsonOut o;
+  o.raw("{\"schema_version\":1,\"kind\":\"ccnoc-latency\"");
 
-  os << ",\"phases\":[";
+  o.raw(",\"phases\":[");
   for (std::size_t p = 0; p < kNumPhases; ++p) {
-    if (p != 0) os << ",";
-    os << "\"" << to_string(Phase(p)) << "\"";
+    if (p != 0) o.raw(',');
+    o.str(to_string(Phase(p)));
   }
-  os << "]";
+  o.raw(']');
 
-  os << ",\"transactions\":{";
+  o.raw(",\"transactions\":{");
   bool first = true;
   PhaseCycles overall{};
   std::uint64_t total_count = 0;
   for (const auto& [kind, k] : lat.kinds()) {
-    if (!first) os << ",";
+    if (!first) o.raw(',');
     first = false;
     total_count += k.count;
     for (std::size_t p = 0; p < kNumPhases; ++p) overall[p] += k.phases[p];
-    os << "\"" << kind << "\":{\"count\":" << k.count
-       << ",\"cycles\":" << k.total.sum()
-       << ",\"mean\":" << fmt_double(k.total.mean())
-       << ",\"min\":" << k.total.min() << ",\"max\":" << k.total.max()
-       << ",\"p50\":" << k.total.percentile(0.50)
-       << ",\"p90\":" << k.total.percentile(0.90)
-       << ",\"p99\":" << k.total.percentile(0.99)
-       << ",\"p999\":" << k.total.percentile(0.999)
-       << ",\"dominant_phase\":\"" << to_string(k.dominant()) << "\""
-       << ",\"phases\":";
-    emit_phases(os, k.phases);
-    os << "}";
+    o.str(kind).raw(":{\"count\":").num(k.count);
+    o.raw(",\"cycles\":").num(k.total.sum());
+    o.raw(",\"mean\":").num(k.total.mean());
+    o.raw(",\"min\":").num(k.total.min()).raw(",\"max\":").num(k.total.max());
+    o.raw(",\"p50\":").num(k.total.percentile(0.50));
+    o.raw(",\"p90\":").num(k.total.percentile(0.90));
+    o.raw(",\"p99\":").num(k.total.percentile(0.99));
+    o.raw(",\"p999\":").num(k.total.percentile(0.999));
+    o.raw(",\"dominant_phase\":").str(to_string(k.dominant()));
+    o.raw(",\"phases\":");
+    emit_phases(o, k.phases);
+    o.raw('}');
   }
-  os << "}";
+  o.raw('}');
 
-  os << ",\"nodes\":[";
+  o.raw(",\"nodes\":[");
   first = true;
   for (const auto& [node, ph] : lat.node_phases()) {
-    if (!first) os << ",";
+    if (!first) o.raw(',');
     first = false;
-    os << "{\"node\":" << node << ",\"cycles\":" << phase_total(ph)
-       << ",\"dominant_phase\":\"" << to_string(dominant_of(ph)) << "\""
-       << ",\"phases\":";
-    emit_phases(os, ph);
-    os << "}";
+    o.raw("{\"node\":").num(node).raw(",\"cycles\":").num(phase_total(ph));
+    o.raw(",\"dominant_phase\":").str(to_string(dominant_of(ph)));
+    o.raw(",\"phases\":");
+    emit_phases(o, ph);
+    o.raw('}');
   }
-  os << "]";
+  o.raw(']');
 
-  os << ",\"worst\":[";
+  o.raw(",\"worst\":[");
   first = true;
-  for (const auto& o : lat.worst()) {
-    if (!first) os << ",";
+  for (const auto& w : lat.worst()) {
+    if (!first) o.raw(',');
     first = false;
-    os << "{\"txn\":" << o.txn << ",\"kind\":\"" << o.kind
-       << "\",\"begin\":" << o.begin << ",\"end\":" << o.end
-       << ",\"latency\":" << o.latency() << ",\"phases\":";
-    emit_phases(os, o.phases);
-    os << "}";
+    o.raw("{\"txn\":").num(w.txn).raw(",\"kind\":").str(w.kind);
+    o.raw(",\"begin\":").num(w.begin).raw(",\"end\":").num(w.end);
+    o.raw(",\"latency\":").num(w.latency()).raw(",\"phases\":");
+    emit_phases(o, w.phases);
+    o.raw('}');
   }
-  os << "]";
+  o.raw(']');
 
-  os << ",\"summary\":{\"transactions\":" << total_count
-     << ",\"cycles\":" << phase_total(overall) << ",\"dominant_phase\":\""
-     << to_string(dominant_of(overall)) << "\",\"phases\":";
-  emit_phases(os, overall);
-  os << "}}\n";
-  return os.str();
+  o.raw(",\"summary\":{\"transactions\":").num(total_count);
+  o.raw(",\"cycles\":").num(phase_total(overall));
+  o.raw(",\"dominant_phase\":").str(to_string(dominant_of(overall)));
+  o.raw(",\"phases\":");
+  emit_phases(o, overall);
+  o.raw("}}\n");
+  return o.take();
 }
 
 bool write_latency_json(const std::string& path, const LatencyObservatory& lat) {
-  return write_string(path, latency_json(lat));
+  return write_file(path, latency_json(lat));
 }
 
 }  // namespace ccnoc::sim

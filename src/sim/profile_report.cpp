@@ -1,8 +1,8 @@
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -13,36 +13,35 @@ namespace ccnoc::sim {
 
 namespace {
 
-void hex_block(std::ostringstream& os, Addr block) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "\"0x%llx\"",
-                static_cast<unsigned long long>(block));
-  os << buf;
+void hex_block(JsonOut& o, Addr block) {
+  char buf[16];
+  const char* end = std::to_chars(buf, buf + sizeof buf, block, 16).ptr;
+  o.raw("\"0x").raw(std::string_view(buf, std::size_t(end - buf))).raw('"');
 }
 
-void emit_line(std::ostringstream& os, const ProfileSnapshot::Line& l) {
-  os << "{\"block\":";
-  hex_block(os, l.block);
-  os << ",\"pattern\":\"" << to_string(l.pattern) << '"'
-     << ",\"readers\":" << l.num_readers()
-     << ",\"writers\":" << l.num_writers()
-     << ",\"reads\":" << l.reads << ",\"writes\":" << l.writes
-     << ",\"atomics\":" << l.atomics << ",\"ifetches\":" << l.ifetches
-     << ",\"misses\":" << l.misses
-     << ",\"invalidations\":" << l.invalidations
-     << ",\"updates\":" << l.updates << ",\"ping_pongs\":" << l.ping_pongs
-     << ",\"fanout_rounds\":" << l.fanout_rounds
-     << ",\"fanout_total\":" << l.fanout_total
-     << ",\"fanout_max\":" << l.fanout_max
-     << ",\"dir_max_sharers\":" << l.dir_max_sharers
-     << ",\"wbuf_stalls\":" << l.wbuf_stalls
-     << ",\"stall_cycles\":" << l.stall_cycles
-     << ",\"traffic_bytes\":" << l.traffic_bytes
-     << ",\"packets\":" << l.packets << ",\"bank_waits\":" << l.bank_waits
-     << ",\"bank_wait_cycles\":" << l.bank_wait_cycles
-     << ",\"epochs_active\":" << l.epochs_active
-     << ",\"epochs_shared\":" << l.epochs_shared
-     << ",\"epochs_rw_shared\":" << l.epochs_rw_shared << '}';
+void emit_line(JsonOut& o, const ProfileSnapshot::Line& l) {
+  o.raw("{\"block\":");
+  hex_block(o, l.block);
+  o.raw(",\"pattern\":").str(to_string(l.pattern));
+  o.raw(",\"readers\":").num(l.num_readers());
+  o.raw(",\"writers\":").num(l.num_writers());
+  o.raw(",\"reads\":").num(l.reads).raw(",\"writes\":").num(l.writes);
+  o.raw(",\"atomics\":").num(l.atomics).raw(",\"ifetches\":").num(l.ifetches);
+  o.raw(",\"misses\":").num(l.misses);
+  o.raw(",\"invalidations\":").num(l.invalidations);
+  o.raw(",\"updates\":").num(l.updates).raw(",\"ping_pongs\":").num(l.ping_pongs);
+  o.raw(",\"fanout_rounds\":").num(l.fanout_rounds);
+  o.raw(",\"fanout_total\":").num(l.fanout_total);
+  o.raw(",\"fanout_max\":").num(l.fanout_max);
+  o.raw(",\"dir_max_sharers\":").num(l.dir_max_sharers);
+  o.raw(",\"wbuf_stalls\":").num(l.wbuf_stalls);
+  o.raw(",\"stall_cycles\":").num(l.stall_cycles);
+  o.raw(",\"traffic_bytes\":").num(l.traffic_bytes);
+  o.raw(",\"packets\":").num(l.packets).raw(",\"bank_waits\":").num(l.bank_waits);
+  o.raw(",\"bank_wait_cycles\":").num(l.bank_wait_cycles);
+  o.raw(",\"epochs_active\":").num(l.epochs_active);
+  o.raw(",\"epochs_shared\":").num(l.epochs_shared);
+  o.raw(",\"epochs_rw_shared\":").num(l.epochs_rw_shared).raw('}');
 }
 
 // ---- HTML helpers ------------------------------------------------------
@@ -201,75 +200,71 @@ void emit_bank_table(std::ostringstream& os, const ProfileSnapshot& s) {
 }  // namespace
 
 std::string profile_json(const ProfileSnapshot& s, std::size_t top_n) {
-  std::ostringstream os;
-  os << "{\n\"schema_version\":1,\n\"kind\":\"ccnoc-profile\",\n\"label\":\""
-     << json_escape(s.label) << "\",\n\"block_bytes\":" << s.block_bytes
-     << ",\n\"epoch_cycles\":" << s.epoch_cycles << ",\n\"totals\":{"
-     << "\"lines\":" << s.lines.size()
-     << ",\"traffic_bytes\":" << s.total_traffic_bytes
-     << ",\"packets\":" << s.total_packets
-     << ",\"stall_cycles\":" << s.total_stall_cycles
-     << ",\"stalls_by_class\":{";
+  JsonOut o;
+  o.raw("{\n\"schema_version\":1,\n\"kind\":\"ccnoc-profile\",\n\"label\":");
+  o.str(s.label).raw(",\n\"block_bytes\":").num(s.block_bytes);
+  o.raw(",\n\"epoch_cycles\":").num(s.epoch_cycles).raw(",\n\"totals\":{");
+  o.raw("\"lines\":").num(s.lines.size());
+  o.raw(",\"traffic_bytes\":").num(s.total_traffic_bytes);
+  o.raw(",\"packets\":").num(s.total_packets);
+  o.raw(",\"stall_cycles\":").num(s.total_stall_cycles);
+  o.raw(",\"stalls_by_class\":{");
   for (unsigned c = 0; c < 4; ++c) {
-    if (c) os << ',';
-    os << '"' << to_string(AccessClass(c)) << "\":" << s.stalls_by_class[c];
+    if (c) o.raw(',');
+    o.str(to_string(AccessClass(c))).raw(':').num(s.stalls_by_class[c]);
   }
-  os << "}},\n\"patterns\":[";
+  o.raw("}},\n\"patterns\":[");
   bool first = true;
   for (unsigned p = 0; p < kNumSharingPatterns; ++p) {
     const auto& pt = s.patterns[p];
     if (pt.lines == 0) continue;
-    if (!first) os << ',';
+    if (!first) o.raw(',');
     first = false;
-    os << "\n{\"pattern\":\"" << to_string(SharingPattern(p))
-       << "\",\"lines\":" << pt.lines << ",\"accesses\":" << pt.accesses
-       << ",\"traffic_bytes\":" << pt.traffic_bytes
-       << ",\"stall_cycles\":" << pt.stall_cycles
-       << ",\"invalidations\":" << pt.invalidations
-       << ",\"ping_pongs\":" << pt.ping_pongs << '}';
+    o.raw("\n{\"pattern\":").str(to_string(SharingPattern(p)));
+    o.raw(",\"lines\":").num(pt.lines).raw(",\"accesses\":").num(pt.accesses);
+    o.raw(",\"traffic_bytes\":").num(pt.traffic_bytes);
+    o.raw(",\"stall_cycles\":").num(pt.stall_cycles);
+    o.raw(",\"invalidations\":").num(pt.invalidations);
+    o.raw(",\"ping_pongs\":").num(pt.ping_pongs).raw('}');
   }
-  os << "],\n\"lines\":[";
+  o.raw("],\n\"lines\":[");
   first = true;
   for (const auto* l : s.hottest(top_n)) {
-    if (!first) os << ',';
+    if (!first) o.raw(',');
     first = false;
-    os << '\n';
-    emit_line(os, *l);
+    o.raw('\n');
+    emit_line(o, *l);
   }
-  os << "],\n\"banks\":[";
+  o.raw("],\n\"banks\":[");
   first = true;
   for (const auto& b : s.banks) {
-    if (!first) os << ',';
+    if (!first) o.raw(',');
     first = false;
-    os << "\n{\"name\":\"" << json_escape(b.name) << "\",\"level\":" << b.level
-       << ",\"conflicts\":" << b.conflicts
-       << ",\"wait_cycles\":" << b.wait_cycles
-       << ",\"occupancy_integral\":" << b.occupancy_integral
-       << ",\"max_depth\":" << b.max_depth << ",\"max_depth_per_epoch\":[";
+    o.raw("\n{\"name\":").str(b.name).raw(",\"level\":").num(b.level);
+    o.raw(",\"conflicts\":").num(b.conflicts);
+    o.raw(",\"wait_cycles\":").num(b.wait_cycles);
+    o.raw(",\"occupancy_integral\":").num(b.occupancy_integral);
+    o.raw(",\"max_depth\":").num(b.max_depth).raw(",\"max_depth_per_epoch\":[");
     for (std::size_t i = 0; i < b.max_depth_per_epoch.size(); ++i) {
-      if (i) os << ',';
-      os << b.max_depth_per_epoch[i];
+      if (i) o.raw(',');
+      o.num(b.max_depth_per_epoch[i]);
     }
-    os << "]}";
+    o.raw("]}");
   }
-  os << "],\n\"links\":[";
+  o.raw("],\n\"links\":[");
   first = true;
   for (const auto& lk : s.links) {
-    if (!first) os << ',';
+    if (!first) o.raw(',');
     first = false;
-    os << "\n{\"name\":\"" << json_escape(lk.name) << "\",\"flits\":" << lk.flits
-       << '}';
+    o.raw("\n{\"name\":").str(lk.name).raw(",\"flits\":").num(lk.flits).raw('}');
   }
-  os << "]\n}\n";
-  return os.str();
+  o.raw("]\n}\n");
+  return o.take();
 }
 
 bool write_profile_json(const std::string& path, const ProfileSnapshot& s,
                         std::size_t top_n) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  f << profile_json(s, top_n);
-  return bool(f);
+  return write_file(path, profile_json(s, top_n));
 }
 
 std::string profile_html(const std::string& title, const ProfileSnapshot& a,
@@ -380,10 +375,7 @@ std::string profile_html(const std::string& title, const ProfileSnapshot& a,
 bool write_profile_html(const std::string& path, const std::string& title,
                         const ProfileSnapshot& a, const ProfileSnapshot* b,
                         std::size_t top_n) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return false;
-  f << profile_html(title, a, b, top_n);
-  return bool(f);
+  return write_file(path, profile_html(title, a, b, top_n));
 }
 
 }  // namespace ccnoc::sim

@@ -1,9 +1,6 @@
 #include "sim/tracer.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <sstream>
 #include <tuple>
 
 #include "sim/jsonv.hpp"
@@ -171,24 +168,28 @@ void Tracer::bank_queue_depth_slow(unsigned bank, Cycle now, std::size_t depth) 
 // --- export ------------------------------------------------------------------
 
 std::string Tracer::chrome_json() const {
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+  JsonOut o;
+  // Events average about 100 bytes; reserving for 128 builds the trace in
+  // one buffer (pages past the end are never touched).
+  o.reserve(256 + 64 * track_names_.size() + 128 * events_.size());
+  o.raw("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
   bool first = true;
   auto sep = [&] {
-    if (!first) os << ",";
+    if (!first) o.raw(',');
     first = false;
   };
 
   static const char* kPidNames[] = {nullptr, "cpu", "cache", "bank", "noc"};
   for (std::uint32_t pid : {kPidCpu, kPidCache, kPidBank, kPidNoc}) {
     sep();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << kPidNames[pid] << "\"}}";
+    o.raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":").num(pid);
+    o.raw(",\"tid\":0,\"args\":{\"name\":").str(kPidNames[pid]).raw("}}");
   }
   for (const auto& [key, name] : track_names_) {
     sep();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << key.first
-       << ",\"tid\":" << key.second << ",\"args\":{\"name\":\"" << name << "\"}}";
+    o.raw("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":").num(key.first);
+    o.raw(",\"tid\":").num(key.second).raw(",\"args\":{\"name\":").str(name);
+    o.raw("}}");
   }
 
   // Canonical export order: (ts, node, seq), with per-node sequence numbers
@@ -204,116 +205,103 @@ std::string Tracer::chrome_json() const {
   for (const Event* ep : ordered) {
     const Event& e = *ep;
     sep();
-    os << "{\"name\":\"" << e.name << "\",\"ph\":\"" << e.ph << "\",\"ts\":" << e.ts
-       << ",\"pid\":" << e.pid << ",\"tid\":" << e.tid;
-    if (e.ph == 'X') os << ",\"dur\":" << e.dur;
+    o.raw("{\"name\":").str(e.name).raw(",\"ph\":\"").raw(e.ph);
+    o.raw("\",\"ts\":").num(e.ts).raw(",\"pid\":").num(e.pid);
+    o.raw(",\"tid\":").num(e.tid);
+    if (e.ph == 'X') o.raw(",\"dur\":").num(e.dur);
     if (e.ph == 'b' || e.ph == 'e' || e.ph == 'n') {
       // Async events pair on (cat, id) in Perfetto.
-      os << ",\"cat\":\"txn\",\"id\":" << e.id;
+      o.raw(",\"cat\":\"txn\",\"id\":").num(e.id);
     }
-    if (e.ph == 'i') os << ",\"s\":\"t\"";
+    if (e.ph == 'i') o.raw(",\"s\":\"t\"");
     bool have_args = e.arg_names[0] != nullptr || e.arg_names[1] != nullptr ||
                      e.ph == 'C';
     if (have_args) {
-      os << ",\"args\":{";
+      o.raw(",\"args\":{");
       bool afirst = true;
       for (int a = 0; a < 2; ++a) {
         if (e.arg_names[a] == nullptr) continue;
-        if (!afirst) os << ",";
+        if (!afirst) o.raw(',');
         afirst = false;
-        os << "\"" << e.arg_names[a] << "\":" << e.args[a];
+        o.str(e.arg_names[a]).raw(':').num(e.args[a]);
       }
-      os << "}";
+      o.raw('}');
     }
-    os << "}";
+    o.raw('}');
   }
-  os << "]}\n";
-  return os.str();
+  o.raw("]}\n");
+  return o.take();
 }
 
 std::string Tracer::report_json() const {
-  std::ostringstream os;
-  os << "{\"schema_version\":1,\"epoch_cycles\":" << epoch_;
+  JsonOut o;
+  o.raw("{\"schema_version\":1,\"epoch_cycles\":").num(epoch_);
 
-  os << ",\"run\":{\"engine\":\"" << run_engine_
-     << "\",\"domains\":" << run_domains_ << ",\"fallback_reason\":\""
-     << run_fallback_ << "\",\"observers\":\"" << run_observers_ << "\"}";
+  o.raw(",\"run\":{\"engine\":").str(run_engine_);
+  o.raw(",\"domains\":").num(run_domains_);
+  o.raw(",\"fallback_reason\":").str(run_fallback_);
+  o.raw(",\"observers\":").str(run_observers_).raw('}');
 
-  os << ",\"transactions\":{";
+  o.raw(",\"transactions\":{");
   bool first = true;
   for (const auto& [kind, k] : kinds_) {
-    if (!first) os << ",";
+    if (!first) o.raw(',');
     first = false;
-    os << "\"" << kind << "\":{\"count\":" << k.count
-       << ",\"hops_total\":" << k.hops_total
-       << ",\"latency\":{\"mean\":" << fmt_double(k.latency.mean())
-       << ",\"min\":" << fmt_double(k.latency.min())
-       << ",\"max\":" << fmt_double(k.latency.max())
-       << ",\"p50\":" << fmt_double(k.latency.percentile(0.50))
-       << ",\"p90\":" << fmt_double(k.latency.percentile(0.90))
-       << ",\"p99\":" << fmt_double(k.latency.percentile(0.99)) << "}}";
+    o.str(kind).raw(":{\"count\":").num(k.count);
+    o.raw(",\"hops_total\":").num(k.hops_total);
+    o.raw(",\"latency\":{\"mean\":").num(k.latency.mean());
+    o.raw(",\"min\":").num(k.latency.min());
+    o.raw(",\"max\":").num(k.latency.max());
+    o.raw(",\"p50\":").num(k.latency.percentile(0.50));
+    o.raw(",\"p90\":").num(k.latency.percentile(0.90));
+    o.raw(",\"p99\":").num(k.latency.percentile(0.99)).raw("}}");
   }
-  os << "}";
+  o.raw('}');
 
-  os << ",\"stalls\":[";
+  o.raw(",\"stalls\":[");
   for (std::size_t c = 0; c < stalls_.size(); ++c) {
-    if (c != 0) os << ",";
+    if (c != 0) o.raw(',');
     const CpuStallAttr& s = stalls_[c];
-    os << "{\"cpu\":" << c << ",\"load\":" << s.of(StallCat::kLoad)
-       << ",\"store\":" << s.of(StallCat::kStore)
-       << ",\"atomic\":" << s.of(StallCat::kAtomic)
-       << ",\"ifetch\":" << s.of(StallCat::kIfetch) << "}";
+    o.raw("{\"cpu\":").num(c).raw(",\"load\":").num(s.of(StallCat::kLoad));
+    o.raw(",\"store\":").num(s.of(StallCat::kStore));
+    o.raw(",\"atomic\":").num(s.of(StallCat::kAtomic));
+    o.raw(",\"ifetch\":").num(s.of(StallCat::kIfetch)).raw('}');
   }
-  os << "]";
+  o.raw(']');
 
-  auto emit_series = [&](const char* key, const std::vector<std::uint64_t>& v) {
-    os << ",\"" << key << "\":[";
+  auto emit_named_series = [&](const std::string& name, const char* key,
+                               const std::vector<std::uint64_t>& v) {
+    o.raw("{\"name\":").str(name).raw(",\"").raw(key).raw("\":[");
     for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i != 0) os << ",";
-      os << v[i];
+      if (i != 0) o.raw(',');
+      o.num(v[i]);
     }
-    os << "]";
+    o.raw("]}");
   };
 
-  os << ",\"links\":[";
+  o.raw(",\"links\":[");
   for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (i != 0) os << ",";
-    os << "{\"name\":\"" << links_[i].name << "\"";
-    emit_series("flits_per_epoch", links_[i].flits_per_epoch);
-    os << "}";
+    if (i != 0) o.raw(',');
+    emit_named_series(links_[i].name, "flits_per_epoch", links_[i].flits_per_epoch);
   }
-  os << "]";
+  o.raw(']');
 
-  os << ",\"banks\":[";
+  o.raw(",\"banks\":[");
   for (std::size_t i = 0; i < banks_.size(); ++i) {
-    if (i != 0) os << ",";
-    os << "{\"name\":\"" << banks_[i].name << "\"";
-    emit_series("max_queue_depth_per_epoch", banks_[i].max_depth_per_epoch);
-    os << "}";
+    if (i != 0) o.raw(',');
+    emit_named_series(banks_[i].name, "max_queue_depth_per_epoch",
+                      banks_[i].max_depth_per_epoch);
   }
-  os << "]" << report_extra_ << "}\n";
-  return os.str();
+  o.raw(']').raw(report_extra_).raw("}\n");
+  return o.take();
 }
-
-namespace {
-bool write_string(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  std::fclose(f);
-  return ok;
-}
-}  // namespace
 
 bool Tracer::write_chrome_json(const std::string& path) const {
-  return write_string(path, chrome_json());
+  return write_file(path, chrome_json());
 }
 
 bool Tracer::write_report(const std::string& path) const {
-  return write_string(path, report_json());
+  return write_file(path, report_json());
 }
 
 }  // namespace ccnoc::sim

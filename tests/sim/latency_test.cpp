@@ -300,5 +300,20 @@ TEST(LatencyObservatory, JsonIsValidAndCarriesSchema) {
   EXPECT_NE(v.get("nodes"), nullptr);
 }
 
+TEST(LatencyObservatory, JsonEscapesKindNames) {
+  LatencyObservatory lat;
+  lat.set_mode(LatencyMode::kOn);
+  const char* kind = "lo\"ad\n";
+  lat.txn_begin(100, 1, kind, 0);
+  lat.txn_end(140, 1, 0);
+  const std::string j = latency_json(lat);
+  Jsonv v;
+  std::string err;
+  ASSERT_TRUE(jsonv_parse(j, v, err)) << err << "\n" << j;
+  ASSERT_NE(v.get("transactions")->get(kind), nullptr) << j;
+  ASSERT_EQ(v.get("worst")->array.size(), 1u);
+  EXPECT_EQ(v.get("worst")->array[0].get("kind")->string, kind);
+}
+
 }  // namespace
 }  // namespace ccnoc::sim

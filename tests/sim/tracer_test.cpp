@@ -258,6 +258,79 @@ TEST(TracerTest, ReportJsonIsWellFormed) {
   EXPECT_NE(j.find("\"banks\""), std::string::npos);
 }
 
+// Byte-level pins for both exports of the populated tracer. The Water
+// fingerprint in perfbench pins the same formats at scale; these catch a
+// change at unit level and show exactly which byte moved.
+TEST(TracerTest, ChromeJsonGolden) {
+  const std::string want =
+      "{\"displayTimeUnit\":\"ns\","
+      "\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+      "\"tid\":0,\"args\":{\"name\":\"cpu\"}},{\"name\":\"process_name\","
+      "\"ph\":\"M\",\"pid\":2,\"tid\":0,\"args\":{\"name\":\"cache\"}},"
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":3,\"tid\":0,"
+      "\"args\":{\"name\":\"bank\"}},{\"name\":\"process_name\","
+      "\"ph\":\"M\",\"pid\":4,\"tid\":0,\"args\":{\"name\":\"noc\"}},"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+      "\"args\":{\"name\":\"cpu0\"}},{\"name\":\"thread_name\",\"ph\":\"M\","
+      "\"pid\":2,\"tid\":0,\"args\":{\"name\":\"cpu0.dcache\"}},"
+      "{\"name\":\"wti.load_miss\",\"ph\":\"b\",\"ts\":5,\"pid\":2,"
+      "\"tid\":0,\"cat\":\"txn\",\"id\":1,\"args\":{\"addr\":4660}},"
+      "{\"name\":\"noc.deliver\",\"ph\":\"n\",\"ts\":9,\"pid\":2,\"tid\":0,"
+      "\"cat\":\"txn\",\"id\":1,\"args\":{\"src\":0,\"dst\":2}},"
+      "{\"name\":\"read\",\"ph\":\"X\",\"ts\":10,\"pid\":3,\"tid\":0,"
+      "\"dur\":4},{\"name\":\"queue_depth\",\"ph\":\"C\",\"ts\":10,"
+      "\"pid\":3,\"tid\":0,\"args\":{\"value\":4}},"
+      "{\"name\":\"wti.invalidate_recv\",\"ph\":\"i\",\"ts\":11,\"pid\":2,"
+      "\"tid\":0,\"s\":\"t\",\"args\":{\"addr\":4660}},{\"name\":\"queue\","
+      "\"ph\":\"C\",\"ts\":12,\"pid\":3,\"tid\":0,\"args\":{\"value\":3}},"
+      "{\"name\":\"wti.load_miss\",\"ph\":\"e\",\"ts\":21,\"pid\":2,"
+      "\"tid\":0,\"cat\":\"txn\",\"id\":1,\"args\":{\"hops\":2}}]}"
+      "\n";
+  EXPECT_EQ(make_populated_tracer().chrome_json(), want);
+}
+
+TEST(TracerTest, ReportJsonGolden) {
+  const std::string want =
+      "{\"schema_version\":1,\"epoch_cycles\":16,"
+      "\"run\":{\"engine\":\"serial\",\"domains\":1,"
+      "\"fallback_reason\":\"\",\"observers\":\"\"},"
+      "\"transactions\":{\"wti.load_miss\":{\"count\":1,\"hops_total\":2,"
+      "\"latency\":{\"mean\":16,\"min\":16,\"max\":16,\"p50\":16,\"p90\":16,"
+      "\"p99\":16}}},\"stalls\":[{\"cpu\":0,\"load\":16,\"store\":0,"
+      "\"atomic\":0,\"ifetch\":0}],\"links\":[{\"name\":\"gmn.in.0\","
+      "\"flits_per_epoch\":[5,0,2]}],\"banks\":[{\"name\":\"bank0\","
+      "\"max_queue_depth_per_epoch\":[4]}]}"
+      "\n";
+  EXPECT_EQ(make_populated_tracer().report_json(), want);
+}
+
+// Every name the exports write is escaped: track, link, bank and kind names
+// and the run strings may hold quotes and control bytes.
+TEST(TracerTest, ExportsEscapeNames) {
+  Tracer t;
+  t.set_mode(TraceMode::kFull);
+  t.set_track_name(Tracer::kPidCpu, 0, "cpu\"0\"\nmain");
+  unsigned link = t.register_link("gmn\"in\"\n0");
+  unsigned bank = t.register_bank("bank\\0\t", 1);
+  t.set_run_context("ser\"ial", 1, "obs\nervers", "trace\x01");
+  std::uint64_t txn = t.alloc_txn();
+  t.txn_begin(1, txn, "kind\"with\nquote", 0, 0, 0);
+  t.txn_note(2, txn, 1, "note\"", "arg\"", 1, "arg\n2", 2);
+  t.txn_end(9, txn, 0, 1);
+  t.add_link_flits(link, 3, 1);
+  t.bank_queue_depth(bank, 4, 2);
+
+  const std::string chrome = t.chrome_json();
+  EXPECT_TRUE(JsonChecker(chrome).valid()) << chrome;
+  EXPECT_NE(chrome.find("cpu\\\"0\\\"\\nmain"), std::string::npos) << chrome;
+  const std::string report = t.report_json();
+  EXPECT_TRUE(JsonChecker(report).valid()) << report;
+  EXPECT_NE(report.find("\"kind\\\"with\\nquote\""), std::string::npos) << report;
+  EXPECT_NE(report.find("\"gmn\\\"in\\\"\\n0\""), std::string::npos) << report;
+  EXPECT_NE(report.find("\"bank\\\\0\\t\""), std::string::npos) << report;
+  EXPECT_NE(report.find("\"trace\\u0001\""), std::string::npos) << report;
+}
+
 TEST(TracerTest, ExportsAreDeterministic) {
   Tracer a = make_populated_tracer();
   Tracer b = make_populated_tracer();

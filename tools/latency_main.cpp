@@ -248,27 +248,17 @@ int main(int argc, char** argv) {
   if (pair) rb = run_one(o, mem::Protocol::kWbMesi);
 
   if (!o.json_path.empty()) {
-    std::FILE* f = std::fopen(o.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", o.json_path.c_str());
-      return 1;
-    }
+    sim::JsonOut out;
     if (pair) {
       // WTI-vs-MESI pair wrapper: a "latencies" array with per-run labels.
-      std::fputs("{\"schema_version\":1,\"kind\":\"ccnoc-latency-sweep\","
-                 "\"bench\":\"ccnoc_latency\",\"labels\":[\"", f);
-      std::fputs(ra.label.c_str(), f);
-      std::fputs("\",\"", f);
-      std::fputs(rb.label.c_str(), f);
-      std::fputs("\"],\"latencies\":[", f);
-      std::fputs(ra.json.c_str(), f);
-      std::fputc(',', f);
-      std::fputs(rb.json.c_str(), f);
-      std::fputs("]}\n", f);
+      out.raw("{\"schema_version\":1,\"kind\":\"ccnoc-latency-sweep\","
+              "\"bench\":\"ccnoc_latency\",\"labels\":[");
+      out.str(ra.label).raw(',').str(rb.label).raw("],\"latencies\":[");
+      out.raw(ra.json).raw(',').raw(rb.json).raw("]}\n");
     } else {
-      std::fputs(ra.json.c_str(), f);
+      out.raw(ra.json);
     }
-    std::fclose(f);
+    if (!sim::write_file(o.json_path, out.text())) return 1;
     std::printf("wrote %s\n", o.json_path.c_str());
   }
   return 0;

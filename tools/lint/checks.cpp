@@ -431,11 +431,48 @@ void check_typed_stats(const Ctx& c) {
   }
 }
 
+// -------------------------------------------------------- one-json-writer
+
+const char* kJsonWriter = "one-json-writer";
+
+/// The helpers that exist once, in src/sim/jsonv.cpp: the JSON string
+/// escaper, the double formatter and the file writer.
+bool json_helper_name(std::string_view s) {
+  return s == "json_escape" || s == "fmt_double" || s == "write_file" ||
+         s == "write_string";
+}
+
+/// Report emitters that must build their text through sim::JsonOut.
+bool json_emitter_file(const std::string& p) {
+  return p == "src/sim/tracer.cpp" || p == "src/sim/latency_report.cpp" ||
+         p == "src/sim/heartbeat.cpp";
+}
+
+void check_json_writer(const Ctx& c) {
+  if (c.all_scopes || c.f.path != "src/sim/jsonv.cpp") {
+    for (const Function& fn : c.f.functions) {
+      if (!json_helper_name(fn.name)) continue;
+      c.report(kJsonWriter, fn.line,
+               "second copy of '" + fn.name + "' — escape, format and write " +
+                   "through sim::JsonOut / sim::write_file (src/sim/jsonv.*) " +
+                   "so every report has the same bytes and the same errors");
+    }
+  }
+  if (!c.all_scopes && !json_emitter_file(c.f.path)) return;
+  for (const Token& t : c.f.toks) {
+    if (t.kind == Tok::kIdent && t.text == "ostringstream") {
+      c.report(kJsonWriter, t.line,
+               "std::ostringstream in a report emitter — append to one "
+               "reserved sim::JsonOut instead");
+    }
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string>& check_ids() {
   static const std::vector<std::string> kIds = {
-      kHotpath, kShard, kProto, kOrderKey, kTypedStats};
+      kHotpath, kShard, kProto, kOrderKey, kTypedStats, kJsonWriter};
   return kIds;
 }
 
@@ -454,6 +491,8 @@ void run_checks(const SourceFile& f, const std::set<std::string>& only,
     check_order_key(c);
   if (want(kTypedStats, starts_with(f.path, "src/") && !stats_registry_file(f.path)))
     check_typed_stats(c);
+  if (want(kJsonWriter, !starts_with(f.path, "tests/lint/fixtures/")))
+    check_json_writer(c);
 }
 
 }  // namespace ccnoc::lint

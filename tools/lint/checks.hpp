@@ -7,7 +7,7 @@
 #include "lint/corpus.hpp"
 
 /// \file checks.hpp
-/// The five ccnoc-lint checks. Each one pins a hand-maintained invariant the
+/// The six ccnoc-lint checks. Each one pins a hand-maintained invariant the
 /// compiler cannot see — the conventions ROADMAP.md relies on reviewers to
 /// police:
 ///
@@ -37,6 +37,13 @@
 ///                           .sample / .histogram) appear only in
 ///                           constructors and the stat*() resolver helpers;
 ///                           steady-state code bumps typed handles.
+///  one-json-writer          one JSON escaper, one double formatter and one
+///                           file writer: no function named json_escape,
+///                           fmt_double, write_file or write_string is
+///                           defined outside src/sim/jsonv.cpp, and the
+///                           trace, latency and heartbeat emitters build
+///                           their text with sim::JsonOut, never
+///                           std::ostringstream.
 ///
 /// Findings can be suppressed per line with `// ccnoc-lint: allow(<id>)`
 /// (same line or the line above) next to a written rationale.

@@ -14,7 +14,7 @@
 /// A dependency-free structural analyzer (own lexer + scope index, no
 /// libclang) so the suite runs — and gates CI — on any box that can build
 /// the simulator itself. See checks.hpp for what each check proves and
-/// EXPERIMENTS.md ("Static analysis") for why these five invariants are the
+/// EXPERIMENTS.md ("Static analysis") for why these six invariants are the
 /// ones worth a tool.
 ///
 /// Exit codes: 0 clean, 1 findings, 2 usage/IO error. With --expect the

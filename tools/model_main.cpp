@@ -15,17 +15,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "proto/tables.hpp"
+#include "sim/jsonv.hpp"
 #include "verify/hier.hpp"
 #include "verify/model.hpp"
 #include "verify/tablelint.hpp"
 
 namespace {
 
+using ccnoc::sim::write_file;
 using ccnoc::verify::HierConfig;
 using ccnoc::verify::ModelConfig;
 using ccnoc::verify::ModelResult;
@@ -120,20 +121,6 @@ void print_hier_result(const HierConfig& cfg, const ModelResult& r, bool quiet,
     std::fprintf(out, "  failing state:\n%s", v.state_dump.c_str());
     std::fprintf(out, "  replay hint: %s\n", v.fuzz_hint.c_str());
   }
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  if (path == "-") {
-    std::fwrite(content.data(), 1, content.size(), stdout);
-    return true;
-  }
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  f << content;
-  return true;
 }
 
 /// --all: sweep protocols x {2,3} caches x direct-ack off/on, then the

@@ -246,18 +246,12 @@ int main(int argc, char** argv) {
   if (!o.json_path.empty()) {
     if (pair) {
       // Same wrapper the sweep benches emit: a "profiles" array.
-      std::FILE* f = std::fopen(o.json_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", o.json_path.c_str());
-        return 1;
-      }
-      std::fputs("{\"schema_version\":1,\"kind\":\"ccnoc-profile-sweep\","
-                 "\"bench\":\"ccnoc_profile\",\"profiles\":[", f);
-      std::fputs(sim::profile_json(sa, o.top).c_str(), f);
-      std::fputc(',', f);
-      std::fputs(sim::profile_json(sb, o.top).c_str(), f);
-      std::fputs("]}\n", f);
-      std::fclose(f);
+      sim::JsonOut out;
+      out.raw("{\"schema_version\":1,\"kind\":\"ccnoc-profile-sweep\","
+              "\"bench\":\"ccnoc_profile\",\"profiles\":[");
+      out.raw(sim::profile_json(sa, o.top)).raw(',');
+      out.raw(sim::profile_json(sb, o.top)).raw("]}\n");
+      if (!sim::write_file(o.json_path, out.text())) return 1;
     } else if (!sim::write_profile_json(o.json_path, sa, o.top)) {
       return 1;
     }
