@@ -53,9 +53,9 @@ struct Rig {
   /// Print every trace event recorded since \p from (an index into the
   /// tracer's event log), one line per event, nested inside its span.
   void print_flow(std::size_t from) const {
-    const auto& ev = sim.tracer().events();
-    for (std::size_t i = from; i < ev.size(); ++i) {
-      const sim::Tracer::Event& e = ev[i];
+    const sim::Tracer& tr = sim.tracer();
+    for (std::size_t i = from; i < tr.event_count(); ++i) {
+      const sim::Tracer::Event e = tr.event(i);
       switch (e.ph) {
         case 'b':
           std::printf("    [%4llu] txn %llu BEGIN %s addr=0x%llx\n",
@@ -103,7 +103,7 @@ struct Rig {
     }
   }
 
-  [[nodiscard]] std::size_t mark() const { return sim.tracer().events().size(); }
+  [[nodiscard]] std::size_t mark() const { return sim.tracer().event_count(); }
 
   sim::Simulator sim;
   mem::AddressMap map;

@@ -38,7 +38,7 @@ void run_one(mem::Protocol proto, const char* trace_path, const char* report_pat
   const sim::Tracer& tr = sys.simulator().tracer();
   std::printf("\n%s: %llu cycles, %zu trace events, verified=%s\n",
               to_string(proto), static_cast<unsigned long long>(r.exec_cycles),
-              tr.events().size(), r.verified ? "yes" : "NO");
+              tr.event_count(), r.verified ? "yes" : "NO");
   std::printf("  %-20s %8s %10s %8s %8s %8s\n", "transaction kind", "count",
               "hops", "p50", "p90", "p99");
   for (const auto& [kind, k] : tr.txn_stats()) {

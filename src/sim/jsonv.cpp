@@ -1,5 +1,6 @@
 #include "sim/jsonv.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -197,6 +198,23 @@ JsonOut& JsonOut::num(double v, int digits) {
   char buf[64];
   const int n = std::snprintf(buf, sizeof buf, "%.*g", digits, v);
   s_.append(buf, std::size_t(n));
+  return *this;
+}
+
+JsonOut& JsonOut::fill(std::string_view text, const std::uint16_t* cut,
+                       const std::uint64_t* values, std::size_t n) {
+  constexpr std::size_t kDigits = 20;  // std::uint64_t's longest decimal
+  const std::size_t old = s_.size();
+  s_.resize(old + text.size() + kDigits * n);
+  char* p = s_.data() + old;
+  std::size_t at = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    p = std::copy(text.data() + at, text.data() + cut[k], p);
+    p = std::to_chars(p, p + kDigits, values[k]).ptr;
+    at = cut[k];
+  }
+  p = std::copy(text.data() + at, text.data() + text.size(), p);
+  s_.resize(std::size_t(p - s_.data()));
   return *this;
 }
 

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -75,6 +76,11 @@ class JsonOut {
     return *this;
   }
   JsonOut& num(double v, int digits = 6);
+  // Appends `text` with the decimal form of values[k] inserted at byte
+  // offset cut[k] (ascending) for each k < n, growing the string once: a
+  // record rendered ahead of time with its numbers cut out.
+  JsonOut& fill(std::string_view text, const std::uint16_t* cut,
+                const std::uint64_t* values, std::size_t n);
   JsonOut& boolean(bool v) { return raw(v ? "true" : "false"); }
   // String body without quotes, escaped (see json_escape).
   JsonOut& escaped(std::string_view v);

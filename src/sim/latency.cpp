@@ -62,16 +62,6 @@ void LogHistogram::add(std::uint64_t v) {
   max_ = std::max(max_, v);
 }
 
-void LogHistogram::merge(const LogHistogram& o) {
-  if (o.count_ == 0) return;
-  if (buckets_.size() < o.buckets_.size()) buckets_.resize(o.buckets_.size(), 0);
-  for (std::size_t b = 0; b < o.buckets_.size(); ++b) buckets_[b] += o.buckets_[b];
-  count_ += o.count_;
-  sum_ += o.sum_;
-  min_ = std::min(min_, o.min_);
-  max_ = std::max(max_, o.max_);
-}
-
 std::uint64_t LogHistogram::percentile(double p) const {
   if (count_ == 0) return 0;
   // Rank convention shared with Sample::percentile: the ceil(p·count)-th

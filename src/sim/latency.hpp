@@ -72,7 +72,6 @@ const char* to_string(Phase p);
 class LogHistogram {
  public:
   void add(std::uint64_t v);
-  void merge(const LogHistogram& o);
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] std::uint64_t sum() const { return sum_; }

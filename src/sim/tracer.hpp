@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,22 +29,43 @@
 /// Cost model: with mode kOff every recording call is one predictable
 /// branch on a cached pointer — no allocation, no string work (verified by
 /// bench_micro). kMetrics keeps only O(kinds + links + epochs) aggregates;
-/// kFull additionally appends one fixed-size struct per event for the
+/// kFull additionally appends one fixed-size record per event for the
 /// Chrome export. All state is derived from simulation time, so two
 /// identical runs produce byte-identical output.
 ///
-/// Export cost: chrome_json() sorts one pointer per event, then appends
-/// every event to one sim::JsonOut string reserved up front from the event
-/// count (about 100 bytes per event are written), so the trace is built in
-/// a single buffer with no regrowth and no final copy. On the 64-CPU Water
-/// job (487 k events, 49.7 MB) that is about 0.2 s, of which the sort is
-/// about 0.045 s. report_json() is O(kinds + links + banks + epochs).
+/// Record layout (kFull): one 40-byte Record per event holds the time, the
+/// recording node, the track id (tid), three u64 payload slots (the 'X'
+/// duration or the async transaction id, then two argument values) and a
+/// 16-bit shape index. A shape interns the event's fixed part — (name,
+/// phase, pid, arg_names[0], arg_names[1]) — by pointer identity, since
+/// every name is a static string. The shape table is allocated on the first
+/// kFull record (untraced platforms build none); a shape is found through
+/// an open-addressed index hashed on (name, phase, pid). The hash reads only
+/// the name's offset within its 4 KB page, which address-space
+/// randomisation never moves, so a lookup probes the same slots in every
+/// process of one binary and its cost does not vary from run to run. More
+/// than 65,535 shapes is a checked error.
+///
+/// Export order: events are emitted by (cycle, recording node, record
+/// index), a total order fixed by the simulated platform alone (record
+/// index is recording order, so one node's events keep their order). Every
+/// hook but complete() stamps the current cycle, so those records arrive in
+/// time order and only a run sharing one cycle needs ordering by node.
+/// chrome_json() therefore sorts just the 'X' spans (which carry their
+/// start cycle) and merges them into the time-ordered stream while
+/// formatting. Recording notes any non-'X' record that steps back in time;
+/// if one did, the export sorts every record instead, so the order is never
+/// assumed unchecked.
+///
+/// Export cost: each shape's fixed JSON text (name, phase, pid and argument
+/// keys) is escaped and rendered once, so an event costs a few copies and
+/// std::to_chars calls into one sim::JsonOut string reserved up front. On
+/// the 64-CPU Water job (487 k events, 49.7 MB, 93 k spans) that is about
+/// 0.09 s. report_json() is O(kinds + links + banks + epochs).
 ///
 /// Every recording hook names the NoC node whose event is executing.
 /// Runs with the tracer on take the serial engine (core::System falls back
 /// whenever an observer is on), so hooks update the aggregates directly.
-/// The Chrome export orders events by (cycle, recording node, per-node
-/// sequence number), a total order fixed by the simulated platform alone.
 
 namespace ccnoc::sim {
 
@@ -77,20 +99,19 @@ class Tracer {
   static constexpr std::uint32_t kPidBank = 3;
   static constexpr std::uint32_t kPidNoc = 4;
 
-  /// One recorded Chrome event (kFull mode). Names are static strings —
-  /// recording never copies or allocates. `node`/`seq` are the canonical
-  /// order stamp (recording NoC node, per-node event sequence); they are
-  /// not emitted in the JSON but define the export order.
+  /// One recorded Chrome event (kFull mode), decoded by event(i). Names are
+  /// static strings — recording never copies or allocates. `node` is the
+  /// recording NoC node, the export order key; it is not emitted in the
+  /// JSON.
   struct Event {
     Cycle ts = 0;
     Cycle dur = 0;               ///< 'X' (complete) events only
     std::uint64_t id = 0;        ///< async ('b'/'e'/'n') events: transaction id
-    std::uint64_t seq = 0;       ///< per-node event sequence (order stamp)
     std::uint64_t args[2] = {0, 0};
     const char* arg_names[2] = {nullptr, nullptr};
     const char* name = nullptr;
     char ph = 'i';               ///< 'b','e','n','i','X','C'
-    NodeId node = 0;             ///< recording NoC node (order stamp)
+    NodeId node = 0;             ///< recording NoC node (order key)
     std::uint32_t pid = 0;
     std::uint32_t tid = 0;
   };
@@ -222,7 +243,9 @@ class Tracer {
     std::vector<std::uint64_t> max_depth_per_epoch;
   };
 
-  [[nodiscard]] const std::vector<Event>& events() const { return events_; }
+  /// Recorded Chrome events (kFull mode), in recording order.
+  [[nodiscard]] std::size_t event_count() const { return records_.size(); }
+  [[nodiscard]] Event event(std::size_t i) const;
   [[nodiscard]] std::size_t open_span_count() const { return open_.size(); }
   [[nodiscard]] const std::map<std::string, KindStats>& txn_stats() const {
     return kinds_;
@@ -240,7 +263,7 @@ class Tracer {
   // --- export ---------------------------------------------------------------
 
   /// Chrome trace-event JSON (object form, with metadata). Events are
-  /// emitted in canonical (ts, node, seq) order. Deterministic.
+  /// emitted in canonical (ts, node, record index) order. Deterministic.
   [[nodiscard]] std::string chrome_json() const;
   /// Machine-readable run report (schema in EXPERIMENTS.md).
   [[nodiscard]] std::string report_json() const;
@@ -274,9 +297,43 @@ class Tracer {
     Cycle begin = 0;
   };
 
-  /// Stamp and push one Chrome event for \p node: per-node event sequence
-  /// numbers make (ts, node, seq) a total order over the log.
-  void push_event(NodeId node, Event e);
+  /// One recorded event; its fixed part lives in shape `shape`.
+  struct Record {
+    Cycle ts = 0;
+    std::uint64_t slot = 0;  ///< 'X': duration; 'b'/'e'/'n': txn id; else 0
+    std::uint64_t args[2] = {0, 0};
+    std::uint32_t tid = 0;
+    NodeId node = 0;
+    std::uint16_t shape = 0;
+  };
+  static_assert(sizeof(Record) == 40, "trace records are 40 bytes");
+
+  /// An event's fixed part and its pre-rendered JSON: `text` is the event
+  /// with its numbers cut out, and for k < cuts the record value named by
+  /// which[k] (0 ts, 1 tid, 2 slot, 3 args[0], 4 args[1]) goes at cut[k].
+  struct Shape {
+    const char* name = nullptr;
+    char ph = 'i';
+    std::uint32_t pid = 0;
+    const char* arg_names[2] = {nullptr, nullptr};
+    std::string text;
+    std::uint16_t cut[5] = {};
+    std::uint8_t which[5] = {};
+    std::uint8_t cuts = 0;
+  };
+  struct ShapeTable {
+    std::vector<Shape> list;
+    /// Open-addressed index into `list` (shape index + 1; 0 is empty),
+    /// a power of two in size and at most half full.
+    std::vector<std::uint16_t> index = std::vector<std::uint16_t>(64);
+  };
+
+  /// Index of the interned shape, adding (and rendering) it on first use.
+  std::uint16_t shape_of(const char* name, char ph, std::uint32_t pid,
+                         const char* arg0 = nullptr, const char* arg1 = nullptr);
+  /// Append a record stamped with the current cycle (every hook but
+  /// complete()), noting whether it steps back in time.
+  void push_timed(const Record& r);
 
   [[nodiscard]] std::size_t epoch_of(Cycle now) const { return std::size_t(now / epoch_); }
 
@@ -284,7 +341,10 @@ class Tracer {
   Cycle epoch_ = 1024;
   std::uint64_t txn_seq_ = 0;
 
-  std::vector<Event> events_;
+  std::vector<Record> records_;
+  std::unique_ptr<ShapeTable> shapes_;  ///< allocated on the first kFull record
+  Cycle last_ts_ = 0;                   ///< latest time-stamped record's cycle
+  bool unordered_ = false;              ///< a time-stamped record went back in time
   std::unordered_map<std::uint64_t, OpenSpan> open_;
   std::map<std::string, KindStats> kinds_;
   std::vector<CpuStallAttr> stalls_;
@@ -292,7 +352,6 @@ class Tracer {
   std::vector<BankTelemetry> banks_;
   std::vector<NodeId> bank_nodes_;  ///< owner NoC node per registered bank
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::string> track_names_;
-  std::vector<std::uint64_t> event_seq_;  ///< per-node Chrome event counters
 
   std::string run_engine_ = "serial";
   unsigned run_domains_ = 1;

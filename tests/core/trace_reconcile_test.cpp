@@ -137,8 +137,8 @@ TEST_F(TraceReconcile, MetricsModeAggregatesMatchFullMode) {
 
   const sim::Tracer& full_tr = full_sys.simulator().tracer();
   const sim::Tracer& metrics_tr = metrics_sys.simulator().tracer();
-  EXPECT_FALSE(full_tr.events().empty());
-  EXPECT_TRUE(metrics_tr.events().empty());
+  EXPECT_GT(full_tr.event_count(), 0u);
+  EXPECT_EQ(metrics_tr.event_count(), 0u);
   ASSERT_EQ(full_tr.txn_stats().size(), metrics_tr.txn_stats().size());
   for (const auto& [kind, k] : full_tr.txn_stats()) {
     ASSERT_EQ(metrics_tr.txn_stats().count(kind), 1u) << kind;
@@ -277,7 +277,7 @@ TEST_F(TraceReconcile, DisabledRunRecordsNothing) {
   System sys(cfg);
   RunResult r = run(sys);
   const sim::Tracer& tr = sys.simulator().tracer();
-  EXPECT_TRUE(tr.events().empty());
+  EXPECT_EQ(tr.event_count(), 0u);
   EXPECT_TRUE(tr.txn_stats().empty());
   EXPECT_TRUE(tr.stall_attr().empty());
   EXPECT_TRUE(r.stall_attr.empty());

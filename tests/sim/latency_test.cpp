@@ -117,26 +117,6 @@ TEST(LogHistogram, LargeMagnitudesDoNotFold) {
   EXPECT_LE(p99 - big, big / 32);
 }
 
-TEST(LogHistogram, MergeMatchesCombinedAdds) {
-  LogHistogram a, b, all;
-  for (std::uint64_t v = 1; v <= 500; ++v) {
-    ((v % 2 == 0) ? a : b).add(v * 7);
-    all.add(v * 7);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_EQ(a.sum(), all.sum());
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-  for (double p : {0.10, 0.50, 0.90, 0.99, 0.999}) {
-    EXPECT_EQ(a.percentile(p), all.percentile(p)) << p;
-  }
-  LogHistogram empty;
-  a.merge(empty);  // merging an empty histogram is a no-op
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_EQ(a.min(), all.min());
-}
-
 // --- LatencyObservatory ------------------------------------------------------
 
 TEST(LatencyObservatory, OffModeRecordsNothing) {

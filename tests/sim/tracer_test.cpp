@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <string>
+#include <tuple>
+#include <vector>
+
+#include "apps/water.hpp"
+#include "core/system.hpp"
+#include "sim/jsonv.hpp"
 
 namespace ccnoc::sim {
 namespace {
@@ -147,7 +154,7 @@ TEST(TracerTest, OffModeRecordsNothing) {
   t.add_link_flits(link, 10, 3);
   t.bank_queue_depth(bank, 10, 2);
 
-  EXPECT_TRUE(t.events().empty());
+  EXPECT_EQ(t.event_count(), 0u);
   EXPECT_EQ(t.open_span_count(), 0u);
   EXPECT_TRUE(t.txn_stats().empty());
   EXPECT_TRUE(t.stall_attr().empty());
@@ -203,7 +210,7 @@ TEST(TracerTest, MetricsModeKeepsAggregatesNotEvents) {
   t.txn_end(16, a, 0, 3);
   t.add_stall(2, StallCat::kStore, 7);
 
-  EXPECT_TRUE(t.events().empty());
+  EXPECT_EQ(t.event_count(), 0u);
   ASSERT_EQ(t.txn_stats().count("k"), 1u);
   EXPECT_EQ(t.txn_stats().at("k").hops_total, 3u);
   ASSERT_GE(t.stall_attr().size(), 3u);
@@ -336,6 +343,161 @@ TEST(TracerTest, ExportsAreDeterministic) {
   Tracer b = make_populated_tracer();
   EXPECT_EQ(a.chrome_json(), b.chrome_json());
   EXPECT_EQ(a.report_json(), b.report_json());
+}
+
+// --- export order -------------------------------------------------------------
+// The reference is the straightforward exporter the compact records replaced:
+// decode every event, give each node's events a sequence number in
+// recording order, sort one pointer per event by (ts, node, seq) and format
+// field by field. chrome_json() must match it byte for byte after the
+// track metadata.
+
+std::string reference_events(const Tracer& t) {
+  std::vector<Tracer::Event> events;
+  std::vector<std::uint64_t> seq;
+  std::vector<std::uint64_t> next_seq;
+  for (std::size_t i = 0; i < t.event_count(); ++i) {
+    events.push_back(t.event(i));
+    const NodeId node = events.back().node;
+    if (next_seq.size() <= node) next_seq.resize(node + 1, 0);
+    seq.push_back(next_seq[node]++);
+  }
+  std::vector<const Tracer::Event*> ordered;
+  for (const Tracer::Event& e : events) ordered.push_back(&e);
+  auto seq_of = [&](const Tracer::Event* e) { return seq[std::size_t(e - events.data())]; };
+  std::sort(ordered.begin(), ordered.end(), [&](const Tracer::Event* x, const Tracer::Event* y) {
+    return std::make_tuple(x->ts, x->node, seq_of(x)) <
+           std::make_tuple(y->ts, y->node, seq_of(y));
+  });
+  JsonOut o;
+  for (const Tracer::Event* ep : ordered) {
+    const Tracer::Event& e = *ep;
+    o.raw(",{\"name\":").str(e.name).raw(",\"ph\":\"").raw(e.ph);
+    o.raw("\",\"ts\":").num(e.ts).raw(",\"pid\":").num(e.pid);
+    o.raw(",\"tid\":").num(e.tid);
+    if (e.ph == 'X') o.raw(",\"dur\":").num(e.dur);
+    if (e.ph == 'b' || e.ph == 'e' || e.ph == 'n') {
+      o.raw(",\"cat\":\"txn\",\"id\":").num(e.id);
+    }
+    if (e.ph == 'i') o.raw(",\"s\":\"t\"");
+    if (e.arg_names[0] != nullptr || e.arg_names[1] != nullptr || e.ph == 'C') {
+      o.raw(",\"args\":{");
+      bool afirst = true;
+      for (int a = 0; a < 2; ++a) {
+        if (e.arg_names[a] == nullptr) continue;
+        if (!afirst) o.raw(',');
+        afirst = false;
+        o.str(e.arg_names[a]).raw(':').num(e.args[a]);
+      }
+      o.raw('}');
+    }
+    o.raw('}');
+  }
+  o.raw("]}\n");
+  return o.take();
+}
+
+/// chrome_json() is the track metadata followed by exactly the reference
+/// event list.
+void expect_matches_reference(const Tracer& t) {
+  const std::string chrome = t.chrome_json();
+  const std::string want = reference_events(t);
+  ASSERT_GE(chrome.size(), want.size());
+  const std::string meta = chrome.substr(0, chrome.size() - want.size());
+  EXPECT_EQ(chrome.substr(meta.size()), want);
+  const std::string phase = "\"ph\":\"";
+  std::size_t phases = 0;
+  std::size_t metadata = 0;
+  for (std::size_t at = meta.find(phase); at != std::string::npos;
+       at = meta.find(phase, at + 1)) {
+    ++phases;
+    if (meta.compare(at, phase.size() + 1, phase + "M") == 0) ++metadata;
+  }
+  EXPECT_EQ(phases, metadata) << "events before the track metadata ends";
+  EXPECT_TRUE(JsonChecker(chrome).valid());
+}
+
+TEST(TracerTest, ExportOrderMatchesReference) {
+  Tracer t;
+  t.set_mode(TraceMode::kFull);
+  t.set_track_name(Tracer::kPidBank, 0, "bank0");
+  const std::uint64_t a = t.alloc_txn();
+  const std::uint64_t b = t.alloc_txn();
+  // One cycle's records from nodes 3, 1 and 2, recorded out of node order,
+  // with a second record for node 3 that must stay behind its first.
+  t.txn_begin(5, a, "k.a", 3, 3, 0x40);
+  t.txn_begin(5, b, "k.b", 1, 1, 0x80);
+  t.instant(5, 2, "evt", Tracer::kPidNoc, 2, "x", 7);
+  t.txn_note(5, a, 3, "note", "src", 3, "dst", 1);
+  // Spans that start before records already logged, one of them at the
+  // (ts, node) of those records, and one that ties with a later record.
+  t.complete(4, 9, 1, "svc", Tracer::kPidBank, 0);
+  t.complete(5, 6, 1, "svc", Tracer::kPidBank, 0);
+  t.complete(5, 7, 0, "svc", Tracer::kPidBank, 0);
+  t.counter(8, 2, "depth", Tracer::kPidBank, 0, 2);
+  t.complete(8, 8, 2, "svc", Tracer::kPidBank, 0);
+  t.complete(8, 12, 2, "stall", Tracer::kPidCpu, 2);
+  t.instant(8, 1, "evt", Tracer::kPidNoc, 1);
+  t.complete(9, 11, 1, "svc", Tracer::kPidBank, 0);  // ties txn_end's (9, 1)
+  t.txn_end(9, b, 1, 2);
+  t.txn_end(9, a, 3, 4);
+  t.complete(12, 13, 3, "svc", Tracer::kPidBank, 0);
+  expect_matches_reference(t);
+
+  // A time-stamped record that steps back in time: the export falls back
+  // to sorting every record and still matches.
+  t.instant(6, 0, "late", Tracer::kPidCache, 0);
+  t.counter(3, 3, "depth", Tracer::kPidBank, 0, 1);
+  expect_matches_reference(t);
+}
+
+TEST(TracerTest, ShapeIndexHandlesSharedPageOffsetsAndGrowth) {
+  // Every name starts a page, so all share one home slot per (phase, pid)
+  // and each lookup walks a long probe chain; 2 x 40 shapes also grow the
+  // index past its first 64 slots. An instant and a counter share each
+  // name and argument name. 1000 passes record 80,000 events: an index
+  // that missed shapes it had interned would add one per record and
+  // overflow the 65,535-shape limit.
+  constexpr std::size_t kNames = 40;
+  constexpr std::size_t kPasses = 1000;
+  alignas(4096) static char names[kNames][4096];
+  for (std::size_t k = 0; k < kNames; ++k) {
+    const std::string s = "name" + std::to_string(k);
+    std::copy(s.begin(), s.end(), names[k]);
+  }
+  Tracer t;
+  t.set_mode(TraceMode::kFull);
+  for (std::size_t pass = 0; pass < kPasses; ++pass) {
+    for (std::size_t k = 0; k < kNames; ++k) {
+      const Cycle now = Cycle(pass * kNames + k);
+      t.instant(now, 0, names[k], Tracer::kPidNoc, 0, "value", k);
+      t.counter(now, 1, names[k], Tracer::kPidBank, 0, k);
+    }
+  }
+  ASSERT_EQ(t.event_count(), 2 * kNames * kPasses);
+  for (std::size_t i = 0; i < t.event_count(); ++i) {
+    const Tracer::Event e = t.event(i);
+    ASSERT_EQ(e.name, names[(i / 2) % kNames]) << i;
+    ASSERT_EQ(e.ph, i % 2 == 0 ? 'i' : 'C') << i;
+    ASSERT_EQ(e.pid, i % 2 == 0 ? Tracer::kPidNoc : Tracer::kPidBank) << i;
+  }
+  expect_matches_reference(t);
+}
+
+TEST(TracerTest, ExportOrderMatchesReferenceOnWaterRuns) {
+  for (mem::Protocol proto : {mem::Protocol::kWti, mem::Protocol::kWbMesi}) {
+    core::SystemConfig cfg = core::SystemConfig::architecture1(16, proto);
+    cfg.trace = TraceMode::kFull;
+    core::System sys(cfg);
+    apps::Water::Config wc;
+    wc.steps = 1;
+    apps::Water workload(wc);
+    const core::RunResult r = sys.run(workload);
+    EXPECT_TRUE(r.completed && r.verified) << to_string(proto);
+    const Tracer& t = sys.simulator().tracer();
+    EXPECT_GT(t.event_count(), 1000u) << to_string(proto);
+    expect_matches_reference(t);
+  }
 }
 
 TEST(TracerTest, LinkFlitsBucketByEpoch) {
