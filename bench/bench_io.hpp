@@ -26,10 +26,8 @@
 ///   --baseline <path>       compare --json output against a committed
 ///                           baseline record; exit 1 on regression
 ///   --tolerance <pct>       allowed relative drift for deterministic fields
-///                           in the baseline compare (default 0 = exact)
-///   --perf-tolerance <pct>  also compare host-speed fields (events_per_sec,
-///                           wall_seconds, *_ratio) within this drift;
-///                           negative (default) skips them entirely
+///                           in the baseline compare (default 0 = exact);
+///                           host-speed fields are never compared
 ///   --parallel-domains <n>  run the measured platforms on the conservative
 ///                           parallel core with n domains (0 = serial core);
 ///                           results are byte-identical either way
@@ -48,7 +46,6 @@ struct BenchOptions {
   std::string profile_html_path;  ///< empty = no HTML report
   std::string baseline_path;      ///< empty = no baseline compare
   double tolerance = 0.0;         ///< % drift allowed on deterministic fields
-  double perf_tolerance = -1.0;   ///< % drift on perf fields; <0 = skip them
   unsigned parallel_domains = 0;  ///< SystemConfig::parallel_domains for runs
   unsigned heartbeat_ms = 0;      ///< SystemConfig::heartbeat_ms passthrough
   std::string heartbeat_json;     ///< SystemConfig::heartbeat_json passthrough
@@ -77,8 +74,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
       opt.baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
       opt.tolerance = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--perf-tolerance") == 0 && i + 1 < argc) {
-      opt.perf_tolerance = std::strtod(argv[++i], nullptr);
     } else if (std::strcmp(argv[i], "--parallel-domains") == 0 && i + 1 < argc) {
       long v = std::strtol(argv[++i], nullptr, 10);
       if (v > 0) opt.parallel_domains = unsigned(v);
@@ -91,7 +86,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
       std::printf("usage: %s [--json <path>] [--threads <n>] [--serial]\n"
                   "          [--profile <path>] [--profile-html <path>]\n"
                   "          [--baseline <path>] [--tolerance <pct>]\n"
-                  "          [--perf-tolerance <pct>] [--parallel-domains <n>]\n"
+                  "          [--parallel-domains <n>]\n"
                   "          [--heartbeat <ms>] [--heartbeat-json <path>]\n", argv[0]);
       std::exit(0);
     } else {

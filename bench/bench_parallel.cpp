@@ -7,8 +7,7 @@
 //     noc_packets) must equal the serial row's, for any domain count; a
 //     mismatch fails the bench immediately, baseline or not;
 //   * throughput — events_per_sec and the speedup ratio over the serial
-//     row, which are host-speed fields and only baseline-compared under
-//     --perf-tolerance.
+//     row, which are host-speed fields: recorded, never baseline-compared.
 //
 // --parallel-domains is ignored here (the bench sweeps domain counts
 // itself); --threads/--serial are irrelevant since each row is one run.

@@ -1,7 +1,5 @@
 #include "cache/controller.hpp"
 
-#include <cstring>
-
 namespace ccnoc::cache {
 
 CacheController::CacheController(sim::Simulator& sim, noc::Network& net,
@@ -37,22 +35,6 @@ void CacheController::send_to_bank(sim::Addr addr, noc::Message m) {
 void CacheController::send_to_node(sim::NodeId dst, noc::Message m) {
   m.port = port_;
   net_.send(node_, dst, m);
-}
-
-std::uint64_t CacheController::read_line(const CacheLine& l, sim::Addr a,
-                                         unsigned size) const {
-  unsigned off = unsigned(a & (cfg_.block_bytes - 1));
-  CCNOC_ASSERT(off + size <= cfg_.block_bytes, "access crosses a block boundary");
-  std::uint64_t v = 0;
-  std::memcpy(&v, l.data.data() + off, size);
-  return v;
-}
-
-void CacheController::write_line(CacheLine& l, sim::Addr a, unsigned size,
-                                 std::uint64_t v) {
-  unsigned off = unsigned(a & (cfg_.block_bytes - 1));
-  CCNOC_ASSERT(off + size <= cfg_.block_bytes, "access crosses a block boundary");
-  std::memcpy(l.data.data() + off, &v, size);
 }
 
 }  // namespace ccnoc::cache

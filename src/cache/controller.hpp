@@ -55,7 +55,9 @@ class CacheIface {
   virtual ~CacheIface() = default;
 
   /// Issue a processor access. The caller must not issue another access for
-  /// this cache until a kHit return or the completion callback.
+  /// this cache until a kHit return or the completion callback. A data cache
+  /// stores a hit's load value to \p hit_value; an instruction cache may
+  /// leave it untouched, as no fetched word is ever consumed.
   virtual AccessResult access(const MemAccess& a, std::uint64_t* hit_value,
                               const CompleteFn& on_complete) = 0;
 
@@ -105,8 +107,12 @@ class CacheController : public CacheIface {
   void send_to_node(sim::NodeId dst, noc::Message m);
 
   [[nodiscard]] std::uint64_t read_line(const CacheLine& l, sim::Addr a,
-                                        unsigned size) const;
-  void write_line(CacheLine& l, sim::Addr a, unsigned size, std::uint64_t v);
+                                        unsigned size) const {
+    return tags_.read(l, a, size);
+  }
+  void write_line(CacheLine& l, sim::Addr a, unsigned size, std::uint64_t v) {
+    tags_.write(l, a, size, v);
+  }
 
   // Construction-time resolvers for "<name>.<suffix>" statistics. Registry
   // references are stable for its lifetime, so derived controllers resolve

@@ -7,15 +7,16 @@ namespace ccnoc::cache {
 using noc::Message;
 using noc::MsgType;
 
-AccessResult ICacheController::access(const MemAccess& a, std::uint64_t* hit_value,
+AccessResult ICacheController::access(const MemAccess& a, std::uint64_t* /*hit_value*/,
                                       const CompleteFn& on_complete) {
   CCNOC_ASSERT(!a.is_store, "store issued to the instruction cache");
   CCNOC_ASSERT(!pending_, "I-cache already has a pending fetch");
   const sim::Addr block = tags_.block_of(a.addr);
   if (CacheLine* l = tags_.find(block)) {
+    // The fetched word itself is never used: a hit only counts and
+    // touches, leaving the hit value as it was (see CacheIface::access).
     hits_->inc();
     tags_.touch(*l);
-    *hit_value = read_line(*l, a.addr, a.size);
     return AccessResult::kHit;
   }
   misses_->inc();

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cstring>
 #include <vector>
 
 #include "cache/config.hpp"
@@ -73,6 +74,37 @@ class TagArray {
 
   void touch(CacheLine& l) { l.lru = ++lru_clock_; }
 
+  /// The \p size bytes at address \p a of line \p l, zero-extended. Sizes
+  /// 1, 2, 4 and 8 (every processor access) are one fixed-width move each;
+  /// any other size takes the variable-length copy.
+  [[nodiscard]] std::uint64_t read(const CacheLine& l, sim::Addr a, unsigned size) const {
+    const std::uint8_t* p = l.data.data() + offset(a, size);
+    switch (size) {
+      case 1: return *p;
+      case 2: return load<std::uint16_t>(p);
+      case 4: return load<std::uint32_t>(p);
+      case 8: return load<std::uint64_t>(p);
+      default: {
+        std::uint64_t v = 0;
+        std::memcpy(&v, p, size);
+        return v;
+      }
+    }
+  }
+
+  /// Overwrite the \p size bytes at address \p a of line \p l with the low
+  /// bytes of \p v; the rest of the line is left as it was.
+  void write(CacheLine& l, sim::Addr a, unsigned size, std::uint64_t v) const {
+    std::uint8_t* p = l.data.data() + offset(a, size);
+    switch (size) {
+      case 1: *p = std::uint8_t(v); return;
+      case 2: store(p, std::uint16_t(v)); return;
+      case 4: store(p, std::uint32_t(v)); return;
+      case 8: store(p, v); return;
+      default: std::memcpy(p, &v, size); return;
+    }
+  }
+
   /// Count of non-invalid lines (tests / occupancy stats).
   [[nodiscard]] unsigned valid_lines() const {
     unsigned n = 0;
@@ -98,6 +130,26 @@ class TagArray {
     const sim::Addr index = block >> block_shift_;
     const std::size_t set = std::size_t(pow2_sets_ ? index & set_mask_ : index % num_sets_);
     return {set * cfg_.ways, cfg_.ways};
+  }
+
+  // Line data is kept in host byte order, and a value's low-order bytes sit
+  // at its lowest address, as in the banks' storage.
+  static_assert(std::endian::native == std::endian::little);
+
+  [[nodiscard]] unsigned offset(sim::Addr a, unsigned size) const {
+    const unsigned off = unsigned(a & (cfg_.block_bytes - 1));
+    CCNOC_ASSERT(off + size <= cfg_.block_bytes, "access crosses a block boundary");
+    return off;
+  }
+  template <typename T>
+  static std::uint64_t load(const std::uint8_t* p) {
+    T v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+  template <typename T>
+  static void store(std::uint8_t* p, T v) {
+    std::memcpy(p, &v, sizeof v);
   }
 
   CacheConfig cfg_;

@@ -14,6 +14,7 @@ Processor::Processor(sim::Simulator& sim, cache::CacheIface& dcache,
       drain_done_([this](std::uint64_t) { switch_after_drain(); }),
       cpu_(cpu_index),
       cfg_(cfg),
+      iblock_bytes_(icache.config().block_bytes),
       name_("cpu" + std::to_string(cpu_index)),
       scheduler_ticks_ctr_(&sim.stats().counter(name_ + ".scheduler_ticks")),
       tr_(&sim.tracer()),
@@ -85,7 +86,9 @@ bool Processor::fetch_next_op() {
       scheduler_ticks_ctr_->inc();
     }
 
-    if (!service_stack_.empty()) {
+    if (spin_continues()) {
+      // cur_op_ is the running spin's next backoff or probe.
+    } else if (!service_stack_.empty()) {
       ThreadProgram& g = service_stack_.back();
       if (!g.next()) {
         service_stack_.pop_back();
@@ -131,6 +134,14 @@ bool Processor::fetch_next_op() {
         CCNOC_ASSERT(sync_ != nullptr, "composite op without a sync library");
         service_stack_.push_back(sync_->expand(cur_op_, *thread_));
         continue;
+      case OpKind::kSpin:
+        // Timer ticks wait for an empty service stack: a spin yielded by a
+        // main program could be pre-empted between its probes.
+        CCNOC_ASSERT(!service_stack_.empty(), "spin op outside an OS service program");
+        spin_ = cur_op_;
+        spinning_ = true;
+        cur_op_ = ThreadOp::compute(spin_.value);
+        break;
       default:
         break;
     }
@@ -144,11 +155,27 @@ bool Processor::fetch_next_op() {
   }
 }
 
+bool Processor::spin_continues() {
+  if (!spinning_) return false;
+  // cur_op_ still holds the spin's last op: a backoff is followed by its
+  // probe, a probe by the next backoff unless its value ends the wait.
+  if (cur_op_.kind == OpKind::kCompute) {
+    cur_op_ = ThreadOp::load(spin_.addr, spin_.size);
+    return true;
+  }
+  if ((thread_->last_load_value != 0) == spin_.until_nonzero) {
+    spinning_ = false;
+    return false;
+  }
+  cur_op_ = ThreadOp::compute(spin_.value);
+  return true;
+}
+
 void Processor::prepare_ifetch() {
   ifetch_pending_.clear();
   if (!cfg_.model_ifetch || thread_ == nullptr || thread_->code_size == 0) return;
 
-  const unsigned bb = icache_.config().block_bytes;
+  const unsigned bb = iblock_bytes_;
   ThreadContext& t = *thread_;
   // One full pass over the code region covers every block; cap there.
   std::uint64_t bytes =
@@ -164,7 +191,9 @@ void Processor::prepare_ifetch() {
     }
     std::uint64_t in_block = bb - (pc & (bb - 1));
     std::uint64_t step = std::min<std::uint64_t>(bytes, in_block);
-    pos = (pos + step) % t.code_size;
+    // Exact wrap: pos < code_size and step <= code_size.
+    pos += step;
+    if (pos >= t.code_size) pos -= t.code_size;
     bytes -= step;
   }
   t.pc_off = pos;

@@ -65,6 +65,9 @@ class Processor {
   [[nodiscard]] std::uint64_t d_stall_cycles() const { return d_stall_; }
   [[nodiscard]] std::uint64_t i_stall_cycles() const { return i_stall_; }
   [[nodiscard]] std::uint64_t instructions() const { return instructions_; }
+  [[nodiscard]] std::uint64_t ops() const { return ops_; }
+  /// The op issued last (a spin issues its backoffs and probes here).
+  [[nodiscard]] const ThreadOp& current_op() const { return cur_op_; }
   [[nodiscard]] std::uint64_t last_active_cycle() const { return last_active_; }
 
  private:
@@ -72,6 +75,7 @@ class Processor {
   static void on_step(void* self, std::uint64_t);
   void step();
   bool fetch_next_op();
+  bool spin_continues();
   void prepare_ifetch();
   void continue_ifetch();
   void resume_after_ifetch();
@@ -94,6 +98,7 @@ class Processor {
   const cache::CacheIface::CompleteFn drain_done_;
   unsigned cpu_;
   CpuConfig cfg_;
+  const unsigned iblock_bytes_;  ///< I-cache block size, read once
   std::string name_;
 
   SchedulerIf* sched_ = nullptr;
@@ -106,6 +111,8 @@ class Processor {
   sim::Cycle next_tick_ = 0;
 
   ThreadOp cur_op_{};
+  ThreadOp spin_{};        ///< the kSpin op being executed, while spinning_
+  bool spinning_ = false;
   bool have_op_ = false;
   bool step_scheduled_ = false;
   std::vector<sim::Addr> ifetch_pending_;

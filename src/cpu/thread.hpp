@@ -12,7 +12,9 @@
 /// delays and synchronization composites. The processor model executes each
 /// op against the simulated memory hierarchy; values read from simulated
 /// memory come back through `ThreadContext::last_load_value`, so workload
-/// code can branch on data it loaded (locks spin on real memory).
+/// code can branch on data it loaded (locks spin on real memory). A spin
+/// wait is one composite op (`kSpin`) that the processor runs without
+/// resuming the coroutine on every probe.
 
 namespace ccnoc::cpu {
 
@@ -26,6 +28,14 @@ enum class OpKind : std::uint8_t {
   kLockRelease,  ///< composite: store 0 to the lock word
   kBarrier,      ///< composite: sense-reversing barrier on a barrier struct
   kYield,        ///< composite: voluntary scheduler entry (OS-defined)
+  /// Composite, executed by the processor itself: the loop
+  /// `do { compute(value); load(addr, size); } while ((last_load_value != 0)
+  /// != until_nonzero);`. Each iteration issues the same two ordinary ops,
+  /// counted and timed like any other; the yielding coroutine resumes once,
+  /// after the load that ends the wait. Only OS service programs (sync
+  /// composites, scheduler entry) may yield it, so no timer tick can land
+  /// inside the loop.
+  kSpin,
 };
 
 struct ThreadOp {
@@ -34,6 +44,7 @@ struct ThreadOp {
   std::uint8_t size = sim::kWordBytes;
   std::uint64_t value = 0;   ///< store/swap data, or compute cycle count
   std::uint32_t icount = 1;  ///< instructions this op represents (I-fetch model)
+  bool until_nonzero = false;  ///< kSpin: the loaded value that ends the wait
 
   static ThreadOp load(sim::Addr a, std::uint8_t size = sim::kWordBytes,
                        std::uint32_t icount = 1) {
@@ -64,6 +75,11 @@ struct ThreadOp {
   static ThreadOp barrier(sim::Addr bar) {
     return ThreadOp{OpKind::kBarrier, bar, sim::kWordBytes, 0, 1};
   }
+  /// Spin on the word at \p a, pausing \p backoff cycles before each probe,
+  /// until it reads nonzero (\p until_nonzero) or zero (otherwise).
+  static ThreadOp spin_until(sim::Addr a, bool until_nonzero, std::uint64_t backoff) {
+    return ThreadOp{OpKind::kSpin, a, sim::kWordBytes, backoff, 1, until_nonzero};
+  }
 };
 
 struct ThreadContext;
@@ -87,7 +103,7 @@ struct ThreadContext {
   /// at phase boundaries.
   sim::Addr code_base = 0;
   std::uint64_t code_size = 4096;
-  std::uint64_t pc_off = 0;
+  std::uint64_t pc_off = 0;  ///< always < code_size (set_code_region resets it)
 
   /// Per-thread sense for each sense-reversing barrier (keyed by address).
   std::unordered_map<sim::Addr, bool> barrier_sense;

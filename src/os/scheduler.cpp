@@ -17,10 +17,7 @@ ThreadProgram scheduler_entry_program(sim::Addr area, ThreadContext& ctx,
   while (true) {
     co_yield ThreadOp::atomic_swap(area, 1);
     if (ctx.last_load_value == 0) break;
-    do {
-      co_yield ThreadOp::compute(backoff);
-      co_yield ThreadOp::load(area);
-    } while (ctx.last_load_value != 0);
+    co_yield ThreadOp::spin_until(area, /*until_nonzero=*/false, backoff);
   }
   // Walk the queue: read and update each word (list pointers, counters).
   for (unsigned i = 1; i <= queue_words; ++i) {

@@ -14,10 +14,7 @@ ThreadProgram lock_acquire_program(sim::Addr lock, ThreadContext& ctx,
     if (ctx.last_load_value == 0) co_return;  // acquired
     // Test-and-test-and-set: spin on plain loads (cache-local once the
     // block is installed) until the lock looks free, then retry the swap.
-    do {
-      co_yield ThreadOp::compute(backoff);
-      co_yield ThreadOp::load(lock);
-    } while (ctx.last_load_value != 0);
+    co_yield ThreadOp::spin_until(lock, /*until_nonzero=*/false, backoff);
   }
 }
 
@@ -48,10 +45,7 @@ ThreadProgram barrier_wait_program(sim::Addr bar, ThreadContext& ctx,
     co_yield ThreadOp::store(bar + BarrierLayout::kCount, 0);
     co_yield ThreadOp::store(bar + BarrierLayout::kSense, local ? 1 : 0);
   } else {
-    do {
-      co_yield ThreadOp::compute(backoff);
-      co_yield ThreadOp::load(bar + BarrierLayout::kSense);
-    } while ((ctx.last_load_value != 0) != local);
+    co_yield ThreadOp::spin_until(bar + BarrierLayout::kSense, local, backoff);
   }
 }
 

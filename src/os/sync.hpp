@@ -14,6 +14,9 @@
 ///   (spinning reads hit locally until an invalidation arrives).
 /// * Barriers: sense-reversing centralized barriers; the barrier struct is
 ///   four words: [lock][count][sense][total].
+///
+/// Each spin is one `ThreadOp::spin_until`, which the processor runs as its
+/// backoff/probe loop (see `cpu::OpKind::kSpin`).
 
 namespace ccnoc::os {
 

@@ -10,22 +10,6 @@ using cache::CacheLine;
 using cache::LineState;
 using cache::MemAccess;
 
-std::uint64_t SnoopCacheBase::read_line(const CacheLine& l, sim::Addr a,
-                                        unsigned size) const {
-  unsigned off = unsigned(a & (cfg_.block_bytes - 1));
-  CCNOC_ASSERT(off + size <= cfg_.block_bytes, "access crosses a block boundary");
-  std::uint64_t v = 0;
-  std::memcpy(&v, l.data.data() + off, size);
-  return v;
-}
-
-void SnoopCacheBase::write_line(CacheLine& l, sim::Addr a, unsigned size,
-                                std::uint64_t v) {
-  unsigned off = unsigned(a & (cfg_.block_bytes - 1));
-  CCNOC_ASSERT(off + size <= cfg_.block_bytes, "access crosses a block boundary");
-  std::memcpy(l.data.data() + off, &v, size);
-}
-
 // ------------------------------------------------------------ SnoopWtiCache
 
 AccessResult SnoopWtiCache::access(const MemAccess& a, std::uint64_t* hit_value,

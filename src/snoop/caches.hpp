@@ -48,8 +48,12 @@ class SnoopCacheBase : public cache::CacheIface, public SnoopAgent {
 
  protected:
   [[nodiscard]] std::uint64_t read_line(const cache::CacheLine& l, sim::Addr a,
-                                        unsigned size) const;
-  void write_line(cache::CacheLine& l, sim::Addr a, unsigned size, std::uint64_t v);
+                                        unsigned size) const {
+    return tags_.read(l, a, size);
+  }
+  void write_line(cache::CacheLine& l, sim::Addr a, unsigned size, std::uint64_t v) {
+    tags_.write(l, a, size, v);
+  }
 
   // Construction-time resolver: derived caches resolve their counters once
   // and bump raw pointers on the per-access paths (registry references are

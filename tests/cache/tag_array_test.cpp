@@ -157,5 +157,70 @@ TEST(TagArray, RejectsBadGeometry) {
   EXPECT_THROW(TagArray t(cfg(16, 32, 1)), std::logic_error);     // no whole set
 }
 
+/// A line whose every byte holds its own index, so any byte a write
+/// strays onto shows.
+CacheLine patterned_line() {
+  CacheLine l;
+  for (std::size_t i = 0; i < l.data.size(); ++i) l.data[i] = std::uint8_t(i);
+  return l;
+}
+
+TEST(TagArray, LineReadsEveryWidthAtBothEndsOfTheBlock) {
+  for (unsigned block : {32u, 64u}) {
+    TagArray t(cfg(4096, block, 1));
+    const CacheLine l = patterned_line();
+    const sim::Addr base = 0x1000;
+    for (unsigned size : {1u, 2u, 4u, 8u}) {
+      for (unsigned off : {0u, block - size}) {
+        std::uint64_t want = 0;
+        for (unsigned i = 0; i < size; ++i) want |= std::uint64_t(off + i) << (8 * i);
+        EXPECT_EQ(t.read(l, base + off, size), want)
+            << "block " << block << " size " << size << " offset " << off;
+      }
+    }
+  }
+}
+
+TEST(TagArray, LineWritesEveryWidthAndLeavesNeighboursAlone) {
+  for (unsigned block : {32u, 64u}) {
+    TagArray t(cfg(4096, block, 1));
+    const sim::Addr base = 0x1000;
+    for (unsigned size : {1u, 2u, 4u, 8u}) {
+      for (unsigned off : {0u, block - size}) {
+        CacheLine l = patterned_line();
+        // The high bytes beyond `size` must not be stored.
+        t.write(l, base + off, size, 0xf1f2f3f4f5f6f7f8ull);
+        for (unsigned i = 0; i < l.data.size(); ++i) {
+          const bool inside = i >= off && i < off + size;
+          const std::uint8_t want =
+              inside ? std::uint8_t(0xf8 - (i - off)) : std::uint8_t(i);
+          ASSERT_EQ(l.data[i], want) << "block " << block << " size " << size
+                                     << " offset " << off << " byte " << i;
+        }
+        EXPECT_EQ(t.read(l, base + off, size),
+                  0xf1f2f3f4f5f6f7f8ull & (size == 8 ? ~0ull : (1ull << (8 * size)) - 1));
+      }
+    }
+  }
+}
+
+TEST(TagArray, LineAccessOfAnOddWidthKeepsTheVariableCopy) {
+  TagArray t(cfg());
+  CacheLine l = patterned_line();
+  EXPECT_EQ(t.read(l, 0x1005, 3), 0x070605u);
+  t.write(l, 0x1005, 3, 0xaabbccddu);
+  EXPECT_EQ(l.data[4], 4);
+  EXPECT_EQ(l.data[5], 0xdd);
+  EXPECT_EQ(l.data[7], 0xbb);
+  EXPECT_EQ(l.data[8], 8);
+}
+
+TEST(TagArray, LineAccessAcrossTheBlockEndIsRejected) {
+  TagArray t(cfg());
+  CacheLine l = patterned_line();
+  EXPECT_THROW((void)t.read(l, 0x101c, 8), std::logic_error);
+  EXPECT_THROW(t.write(l, 0x101f, 2, 0), std::logic_error);
+}
+
 }  // namespace
 }  // namespace ccnoc::cache

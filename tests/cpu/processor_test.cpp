@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "mem/bank.hpp"
@@ -131,6 +133,142 @@ class SwitchOnceScheduler final : public SchedulerIf {
   std::vector<ThreadContext*> ready_;
   bool switched_ = false;
 };
+
+/// Data cache whose every access hits at once. Loads return a scripted
+/// sequence of values (the last one repeats); every access is logged.
+class ScriptedDCache final : public cache::CacheIface {
+ public:
+  ScriptedDCache(sim::Simulator& sim, std::vector<std::uint64_t> values)
+      : sim_(sim), values_(std::move(values)) {}
+
+  cache::AccessResult access(const cache::MemAccess& a, std::uint64_t* hit_value,
+                             const CompleteFn&) override {
+    accesses.emplace_back(sim_.now(), a.addr);
+    *hit_value = values_[std::min(next_++, values_.size() - 1)];
+    return cache::AccessResult::kHit;
+  }
+  [[nodiscard]] const cache::CacheConfig& config() const override { return cfg_; }
+  [[nodiscard]] bool idle() const override { return true; }
+
+  std::vector<std::pair<sim::Cycle, sim::Addr>> accesses;
+
+ private:
+  sim::Simulator& sim_;
+  std::vector<std::uint64_t> values_;
+  std::size_t next_ = 0;
+  cache::CacheConfig cfg_;
+};
+
+/// Sync library whose lock acquire is one spin wait of the given polarity;
+/// it records the value the wait ended on, as the resumed program sees it.
+class SpinOnlyLib final : public SyncLibrary {
+ public:
+  static constexpr std::uint64_t kBackoff = 20;
+
+  explicit SpinOnlyLib(bool until_nonzero) : until_nonzero_(until_nonzero) {}
+
+  ThreadProgram expand(const ThreadOp& op, ThreadContext& ctx) override {
+    return [](sim::Addr a, ThreadContext& c, SpinOnlyLib* self) -> ThreadProgram {
+      co_yield ThreadOp::spin_until(a, self->until_nonzero_, kBackoff);
+      self->ended_on = c.last_load_value;
+      ++self->resumed;
+    }(op.addr, ctx, this);
+  }
+
+  std::uint64_t ended_on = ~0ull;
+  unsigned resumed = 0;
+
+ private:
+  bool until_nonzero_;
+};
+
+/// One lock acquire through SpinOnlyLib on a processor with no I-fetch
+/// model, so each op costs exactly its cycles: a backoff of B cycles, then
+/// a one-cycle probe.
+struct SpinRun {
+  SpinRun(sim::Simulator& sim, cache::CacheIface& icache, std::vector<std::uint64_t> values,
+          bool until_nonzero, std::uint64_t value_before)
+      : dcache(sim, std::move(values)),
+        lib(until_nonzero),
+        proc(sim, dcache, icache, 1, CpuConfig{.model_ifetch = false}) {
+    t.last_load_value = value_before;
+    t.program = []() -> ThreadProgram { co_yield ThreadOp::lock_acquire(0x300); }();
+    proc.bind(nullptr, &lib);
+    proc.assign_thread(&t);
+    proc.start();
+    sim.run_to_completion();
+  }
+
+  /// Cycles of the probes expected for \p n iterations: the first op issues
+  /// at cycle 1, and each iteration takes B + 1 cycles.
+  static std::vector<std::pair<sim::Cycle, sim::Addr>> probes(unsigned n) {
+    std::vector<std::pair<sim::Cycle, sim::Addr>> v;
+    for (unsigned k = 0; k < n; ++k) {
+      v.emplace_back(1 + SpinOnlyLib::kBackoff + k * (SpinOnlyLib::kBackoff + 1), 0x300);
+    }
+    return v;
+  }
+
+  ScriptedDCache dcache;
+  SpinOnlyLib lib;
+  Processor proc;
+  ThreadContext t;
+};
+
+TEST_F(ProcessorTest, SpinUntilZeroProbesAfterEachBackoff) {
+  SpinRun r(sim, node.icache(), {1, 1, 0}, /*until_nonzero=*/false, 0);
+  EXPECT_TRUE(r.t.finished);
+  EXPECT_EQ(r.dcache.accesses, SpinRun::probes(3));
+  // Three iterations of two ordinary ops each, all counted.
+  EXPECT_EQ(r.proc.ops(), 6u);
+  EXPECT_EQ(r.t.ops_executed, 6u);
+  EXPECT_EQ(r.t.loads, 3u);
+  EXPECT_EQ(r.proc.instructions(), 3 * SpinOnlyLib::kBackoff + 3);
+  EXPECT_EQ(r.lib.resumed, 1u);
+  EXPECT_EQ(r.lib.ended_on, 0u);
+  EXPECT_EQ(r.proc.last_active_cycle(), SpinRun::probes(3).back().first);
+}
+
+TEST_F(ProcessorTest, SpinUntilNonzeroEndsOnTheFirstNonzeroProbe) {
+  SpinRun r(sim, node.icache(), {0, 0, 7, 0}, /*until_nonzero=*/true, 0);
+  EXPECT_TRUE(r.t.finished);
+  EXPECT_EQ(r.dcache.accesses, SpinRun::probes(3));
+  EXPECT_EQ(r.t.loads, 3u);
+  EXPECT_EQ(r.lib.ended_on, 7u);
+}
+
+TEST_F(ProcessorTest, SpinWhoseFirstProbeEndsItStillBacksOffOnce) {
+  // The value loaded before the spin already satisfies the predicate; the
+  // spin is a do-while loop, so one backoff and one probe still run.
+  SpinRun r(sim, node.icache(), {0}, /*until_nonzero=*/false, 0);
+  EXPECT_EQ(r.dcache.accesses, SpinRun::probes(1));
+  EXPECT_EQ(r.proc.ops(), 2u);
+  EXPECT_EQ(r.t.loads, 1u);
+  EXPECT_EQ(r.proc.instructions(), SpinOnlyLib::kBackoff + 1);
+  EXPECT_EQ(r.lib.ended_on, 0u);
+}
+
+TEST_F(ProcessorTest, NonzeroSpinWhoseFirstProbeEndsItStillBacksOffOnce) {
+  SpinRun r(sim, node.icache(), {9}, /*until_nonzero=*/true, 5);
+  EXPECT_EQ(r.dcache.accesses, SpinRun::probes(1));
+  EXPECT_EQ(r.proc.ops(), 2u);
+  EXPECT_EQ(r.t.loads, 1u);
+  EXPECT_EQ(r.lib.ended_on, 9u);
+}
+
+TEST_F(ProcessorTest, SpinOutsideAServiceProgramIsRejected) {
+  // A main program's ops may be pre-empted by a timer tick between any two
+  // of them, so it cannot hand the processor a whole spin loop.
+  ScriptedDCache dcache(sim, {0});
+  Processor p(sim, dcache, node.icache(), 1, CpuConfig{.model_ifetch = false});
+  ThreadContext t;
+  t.program = []() -> ThreadProgram {
+    co_yield ThreadOp::spin_until(0x300, /*until_nonzero=*/false, 20);
+  }();
+  p.assign_thread(&t);
+  p.start();
+  EXPECT_THROW(sim.run_to_completion(), std::logic_error);
+}
 
 TEST_F(ProcessorTest, RunsProgramToCompletion) {
   run([]() -> ThreadProgram {
